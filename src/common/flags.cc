@@ -49,21 +49,36 @@ bool Flags::Has(const std::string& name) const {
   return values_.count(name) > 0;
 }
 
-std::vector<std::pair<std::string, std::string>> ParseKeyValueList(
-    const std::string& list) {
-  std::vector<std::pair<std::string, std::string>> entries;
-  if (list.empty()) return entries;
+bool SplitKeyValueList(const std::string& list,
+                       std::vector<std::pair<std::string, std::string>>* out,
+                       std::string* bad_item) {
+  out->clear();
+  if (list.empty()) return true;
   size_t start = 0;
   while (start <= list.size()) {
     size_t comma = list.find(',', start);
     if (comma == std::string::npos) comma = list.size();
-    const std::string item = list.substr(start, comma - start);
-    DDC_CHECK(!item.empty() && "empty item in key=value list");
+    std::string item = list.substr(start, comma - start);
     const size_t eq = item.find('=');
-    DDC_CHECK(eq != std::string::npos && "key=value item missing '='");
-    DDC_CHECK(eq > 0 && "empty key in key=value list");
-    entries.emplace_back(item.substr(0, eq), item.substr(eq + 1));
+    if (eq == 0 || eq == std::string::npos) {  // Also catches empty items.
+      *bad_item = std::move(item);
+      return false;
+    }
+    out->emplace_back(item.substr(0, eq), item.substr(eq + 1));
     start = comma + 1;
+  }
+  return true;
+}
+
+std::vector<std::pair<std::string, std::string>> ParseKeyValueList(
+    const std::string& list) {
+  std::vector<std::pair<std::string, std::string>> entries;
+  std::string bad;
+  if (!SplitKeyValueList(list, &entries, &bad)) {
+    DDC_CHECK(!bad.empty() && "empty item in key=value list");
+    DDC_CHECK(bad.find('=') != std::string::npos &&
+              "key=value item missing '='");
+    DDC_CHECK(bad.front() != '=' && "empty key in key=value list");
   }
   return entries;
 }

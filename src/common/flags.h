@@ -31,11 +31,18 @@ class Flags {
   std::map<std::string, std::string> values_;
 };
 
-/// Parses a comma-separated `key=value` sublist — the payload of compound
-/// flag values like `--scenario=burst:n=200000,dup=0.3`. Keys keep document
-/// order (duplicates allowed; consumers decide). The empty string yields an
-/// empty list; an empty item, an empty key, or an item without '=' aborts
-/// via DDC_CHECK with the offending item in the message.
+/// Splits a comma-separated `key=value` sublist — the payload of compound
+/// specs like `--scenario=burst:n=200000,dup=0.3` or
+/// `--methods=sharded-double-approx:shards=8` — into `out`. Keys keep
+/// document order (duplicates allowed; consumers decide). The empty string
+/// yields an empty list. An empty item, an item without '=', or an empty
+/// key makes it return false with that item in `bad_item`.
+bool SplitKeyValueList(const std::string& list,
+                       std::vector<std::pair<std::string, std::string>>* out,
+                       std::string* bad_item);
+
+/// SplitKeyValueList that aborts via DDC_CHECK on a malformed item, naming
+/// what is wrong with it (empty item, missing '=', empty key).
 std::vector<std::pair<std::string, std::string>> ParseKeyValueList(
     const std::string& list);
 

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "common/flags.h"
 #include "core/fully_dynamic_clusterer.h"
 #include "core/incremental_dbscan.h"
 #include "core/semi_dynamic_clusterer.h"
@@ -28,24 +29,13 @@ bool ParseSpec(const std::string& spec, ParsedSpec* out, std::string* why) {
     return false;
   }
   if (colon == std::string::npos) return true;
-  const std::string params = spec.substr(colon + 1);
-  size_t start = 0;
-  while (start <= params.size()) {
-    size_t end = params.find(',', start);
-    if (end == std::string::npos) end = params.size();
-    const std::string item = params.substr(start, end - start);
-    const size_t eq = item.find('=');
-    if (item.empty() || eq == 0 || eq == std::string::npos) {
-      if (why != nullptr) {
-        *why = "malformed knob '" + item + "' in method spec '" + spec +
-               "' (expected key=value)";
-      }
-      return false;
-    }
-    out->kvs.emplace_back(item.substr(0, eq), item.substr(eq + 1));
-    start = end + 1;
+  std::string bad;
+  if (SplitKeyValueList(spec.substr(colon + 1), &out->kvs, &bad)) return true;
+  if (why != nullptr) {
+    *why = "malformed knob '" + bad + "' in method spec '" + spec +
+           "' (expected key=value)";
   }
-  return true;
+  return false;
 }
 
 const MethodInfo* FindInfo(const std::string& name) {
@@ -101,46 +91,6 @@ bool ReadIntKnob(const ParsedSpec& spec, const std::string& key, int64_t def,
   return true;
 }
 
-/// Non-aborting floating-point parse for knob values.
-bool ParseKnobDouble(const std::string& value, double* out) {
-  if (value.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end != value.c_str() + value.size()) return false;
-  *out = v;
-  return true;
-}
-
-/// Reads a floating-point knob with a default; false (with `why`) on a
-/// non-numeric or out-of-range value.
-bool ReadDoubleKnob(const ParsedSpec& spec, const std::string& key,
-                    double def, double lo, double hi, double* out,
-                    std::string* why) {
-  *out = def;
-  for (const auto& [k, v] : spec.kvs) {
-    if (k != key) continue;
-    double parsed = 0;
-    if (!ParseKnobDouble(v, &parsed)) {
-      if (why != nullptr) {
-        *why = "method '" + spec.name + "': knob " + key + "=" + v +
-               " is not a number";
-      }
-      return false;
-    }
-    *out = parsed;  // Last occurrence wins, like the scenario grammar.
-  }
-  if (!(*out >= lo && *out <= hi)) {
-    if (why != nullptr) {
-      std::ostringstream msg;
-      msg << "method '" << spec.name << "': knob " << key << "=" << *out
-          << " out of range [" << lo << ", " << hi << "]";
-      *why = msg.str();
-    }
-    return false;
-  }
-  return true;
-}
-
 /// Full spec validation; on success fills the sharded options (meaningful
 /// only when the method is the sharded engine).
 bool ValidateSpec(const std::string& spec, ParsedSpec* parsed,
@@ -163,42 +113,19 @@ bool ValidateSpec(const std::string& spec, ParsedSpec* parsed,
     }
   }
   if (parsed->name == "sharded-double-approx") {
-    const ShardedClusterer::RebalanceOptions rb_defaults;
     int64_t shards, threads, batch, warmup;
-    int64_t rebalance, rb_epochs, rb_cooldown, rb_max_shards, rb_min_points;
-    double rb_split, rb_merge;
     if (!ReadIntKnob(*parsed, "shards", 4, 1, ShardedClusterer::kMaxShards,
                      &shards, why) ||
         !ReadIntKnob(*parsed, "threads", 0, 0, ShardedClusterer::kMaxShards,
                      &threads, why) ||
         !ReadIntKnob(*parsed, "batch", 64, 1, 1 << 20, &batch, why) ||
-        !ReadIntKnob(*parsed, "warmup", 2048, 0, 1 << 28, &warmup, why) ||
-        !ReadIntKnob(*parsed, "rebalance", 0, 0, 1, &rebalance, why) ||
-        !ReadDoubleKnob(*parsed, "rb_split", rb_defaults.split_imbalance,
-                        1.01, 64.0, &rb_split, why) ||
-        !ReadDoubleKnob(*parsed, "rb_merge", rb_defaults.merge_fill, 0.01,
-                        2.0, &rb_merge, why) ||
-        !ReadIntKnob(*parsed, "rb_epochs", rb_defaults.epochs, 1, 1 << 20,
-                     &rb_epochs, why) ||
-        !ReadIntKnob(*parsed, "rb_cooldown", rb_defaults.cooldown, 0, 1 << 20,
-                     &rb_cooldown, why) ||
-        !ReadIntKnob(*parsed, "rb_max_shards", rb_defaults.max_shards, 0,
-                     ShardedClusterer::kMaxShards, &rb_max_shards, why) ||
-        !ReadIntKnob(*parsed, "rb_min_points", rb_defaults.min_points, 0,
-                     int64_t{1} << 40, &rb_min_points, why)) {
+        !ReadIntKnob(*parsed, "warmup", 2048, 0, 1 << 28, &warmup, why)) {
       return false;
     }
     sharded->shards = static_cast<int>(shards);
     sharded->threads = static_cast<int>(threads);
     sharded->batch = static_cast<int>(batch);
     sharded->warmup = static_cast<int>(warmup);
-    sharded->rebalance.enabled = rebalance != 0;
-    sharded->rebalance.split_imbalance = rb_split;
-    sharded->rebalance.merge_fill = rb_merge;
-    sharded->rebalance.epochs = static_cast<int>(rb_epochs);
-    sharded->rebalance.cooldown = static_cast<int>(rb_cooldown);
-    sharded->rebalance.max_shards = static_cast<int>(rb_max_shards);
-    sharded->rebalance.min_points = rb_min_points;
   }
   return true;
 }
@@ -242,20 +169,7 @@ const std::vector<MethodInfo>& AllMethodInfos() {
                       " (default 0)"},
           {"batch", "updates per published shard batch (default 64)"},
           {"warmup", "inserts buffered before the split dimension is chosen"
-                     " (default 2048)"},
-          {"rebalance", "1 = live shard split/merge under skew (default 0)"},
-          {"rb_split", "split when max/mean owned occupancy exceeds this for"
-                       " rb_epochs consecutive epochs (default 1.35)"},
-          {"rb_merge", "merge an adjacent pair whose combined occupancy is"
-                       " below this fraction of the mean (default 0.55)"},
-          {"rb_epochs", "consecutive trigger epochs before acting"
-                        " (default 3)"},
-          {"rb_cooldown", "epochs to sit out after a split/merge"
-                          " (default 1)"},
-          {"rb_max_shards", "shard-count ceiling; 0 = min(2*shards, 64)"
-                            " (default 0)"},
-          {"rb_min_points", "no rebalancing below this population"
-                            " (default 512)"}},
+                     " (default 2048)"}},
          /*supports_deletes=*/true,
          /*forces_exact=*/false});
     return all;

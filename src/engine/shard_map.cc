@@ -1,15 +1,10 @@
 #include "engine/shard_map.h"
 
-#include <cmath>
-#include <limits>
+#include <algorithm>
 
 #include "common/check.h"
 
 namespace ddc {
-
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}  // namespace
 
 ShardMap::ShardMap(int shards, int dim, double halo)
     : shards_(shards), dim_(dim), halo_(halo) {
@@ -21,10 +16,9 @@ ShardMap::ShardMap(int shards, int dim, double halo)
 void ShardMap::InitFromSample(const std::vector<Point>& sample) {
   DDC_CHECK(!initialized_);
   initialized_ = true;
-  // The split dimension and initial extent are computed even for a single
-  // shard (HoldersOf is {0} and NearBoundary is false regardless, since
-  // there are no cuts) so that a later SplitSlab knows which dimension the
-  // partition runs along.
+  // The split dimension and extent are computed even for a single shard
+  // (HoldersOf is {0} and NearBoundary is false regardless, since there are
+  // no cuts), so split_dim()/lo()/slab_width() describe the sample.
   if (!sample.empty()) {
     double best_spread = -1;
     for (int i = 0; i < dim_; ++i) {
@@ -55,40 +49,6 @@ void ShardMap::InitFromSample(const std::vector<Point>& sample) {
   for (int k = 1; k < shards_; ++k) {
     cuts_.push_back(lo_ + static_cast<double>(k) * width_);
   }
-}
-
-double ShardMap::slab_lo(int shard) const {
-  DDC_DCHECK(shard >= 0 && shard < shards_);
-  return shard == 0 ? -kInf : cuts_[shard - 1];
-}
-
-double ShardMap::slab_hi(int shard) const {
-  DDC_DCHECK(shard >= 0 && shard < shards_);
-  return shard == shards_ - 1 ? kInf : cuts_[shard];
-}
-
-bool ShardMap::CanSplitAt(int shard, double cut) const {
-  if (!initialized_ || shard < 0 || shard >= shards_) return false;
-  if (!std::isfinite(cut)) return false;
-  const double lo = slab_lo(shard);
-  const double hi = slab_hi(shard);
-  // Both children must keep every slab at least 2·halo wide (the
-  // replication-factor bound); an infinite end side constrains nothing.
-  if (std::isfinite(lo) && cut - lo < 2 * halo_) return false;
-  if (std::isfinite(hi) && hi - cut < 2 * halo_) return false;
-  return true;
-}
-
-void ShardMap::SplitSlab(int shard, double cut) {
-  DDC_CHECK(CanSplitAt(shard, cut));
-  cuts_.insert(cuts_.begin() + shard, cut);
-  ++shards_;
-}
-
-void ShardMap::MergeSlabs(int left) {
-  DDC_CHECK(initialized_ && left >= 0 && left + 1 < shards_);
-  cuts_.erase(cuts_.begin() + left);
-  --shards_;
 }
 
 }  // namespace ddc

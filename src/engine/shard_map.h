@@ -14,9 +14,8 @@ namespace ddc {
 /// are described by an ascending vector of S-1 interior cuts; slab k covers
 /// [cut[k-1], cut[k]) with the two end slabs extending to ±infinity, so
 /// every point has exactly one owner. InitFromSample lays the cuts out
-/// uniformly; SplitSlab/MergeSlabs mutate the partition live (elastic
-/// rebalancing), preserving the invariant that adjacent cuts stay at least
-/// 2·halo apart — so the replication factor never exceeds 2.
+/// uniformly, at least 2·halo apart (so the replication factor never
+/// exceeds 2), and they never move afterwards.
 ///
 /// Sharding is sound because the paper's machinery is spatially local: a
 /// point's core status and its grid-graph edges depend only on geometry
@@ -44,9 +43,7 @@ class ShardMap {
   int shards() const { return shards_; }
   int dim() const { return dim_; }
   double halo() const { return halo_; }
-  /// The split dimension / initial slab geometry (meaningful once
-  /// initialized; slab_width is the uniform width InitFromSample laid out,
-  /// before any SplitSlab/MergeSlabs reshaped the partition).
+  /// The split dimension / slab geometry (meaningful once initialized).
   int split_dim() const { return split_dim_; }
   double lo() const { return lo_; }
   double slab_width() const { return width_; }
@@ -54,9 +51,6 @@ class ShardMap {
   /// The ascending interior cuts (size shards() - 1). cuts()[k] separates
   /// slab k from slab k+1.
   const std::vector<double>& cuts() const { return cuts_; }
-  /// Lower/upper edge of `shard`'s slab; -/+infinity for the end slabs.
-  double slab_lo(int shard) const;
-  double slab_hi(int shard) const;
 
   /// The shard whose slab covers `p` (end slabs absorb outliers).
   int OwnerOf(const Point& p) const {
@@ -83,19 +77,6 @@ class ShardMap {
     if (shard > 0 && x < cuts_[shard - 1] + halo_) return true;
     return shard < shards_ - 1 && x > cuts_[shard] - halo_;
   }
-
-  /// True when slab `shard` may be split at `cut`: both children keep a
-  /// width of at least 2·halo against their finite edges (infinite end
-  /// slabs only constrain the finite side).
-  bool CanSplitAt(int shard, double cut) const;
-
-  /// Splits slab `shard` at `cut` into slabs `shard` and `shard + 1`; every
-  /// slab above shifts its index up by one. Requires CanSplitAt.
-  void SplitSlab(int shard, double cut);
-
-  /// Merges slabs `left` and `left + 1` into slab `left`; every slab above
-  /// shifts its index down by one. Always geometry-legal (widths add).
-  void MergeSlabs(int left);
 
  private:
   /// Index of the slab covering coordinate x: the number of cuts <= x.

@@ -52,55 +52,14 @@ namespace ddc {
 /// result satisfies the Theorem 3 sandwich at every shard count and equals
 /// exact DBSCAN verbatim at rho == 0 (tests/conformance_test.cc).
 ///
-/// Rebalancing. With Options::rebalance.enabled the slab partition is
-/// elastic: at every stitch epoch the controller compares per-shard owned
-/// occupancy, and when the max/mean imbalance persists it freezes the hot
-/// shard (workers are quiescent post-drain), replays its live points into
-/// two child clusterers split at the median of the hot dimension, swaps the
-/// routing in ShardMap, and re-registers the boundary stitcher — all before
-/// the epoch's snapshot is composed. Cold adjacent slabs merge by the
-/// symmetric move. In-flight readers never observe a torn routing map:
-/// routing only travels inside published ShardedSnapshots, which are
-/// self-contained (deep-frozen per-shard snapshots + their own routing
-/// records), so a reader on epoch E is untouched when epoch E+1 retires the
-/// shards it is reading.
+/// Partition. The slab cuts are fixed once, from the warmup sample, and
+/// never move afterwards. Skew is observed, not corrected: every dirty
+/// Flush sets the engine.shard_imbalance gauge to max/mean owned occupancy.
 ///
 /// Threading contract: one ingest thread at a time (like every Clusterer);
 /// the engine's workers are internal; snapshot readers are unrestricted.
 class ShardedClusterer : public Clusterer {
  public:
-  /// Elastic rebalancing: the controller runs at every dirty Flush (i.e.
-  /// every stitch epoch), watches per-shard owned occupancy, and reshapes
-  /// the slab partition live — splitting the hot shard at the median of its
-  /// points along the split dimension, or merging the coldest adjacent pair
-  /// — always at a stitch-epoch boundary, so readers only ever observe
-  /// whole epochs (the published ShardedSnapshot is self-contained).
-  struct RebalanceOptions {
-    /// Master switch; everything below is inert when false (the
-    /// engine.shard_imbalance gauge is still maintained).
-    bool enabled = false;
-    /// Split trigger: max/mean owned occupancy must exceed this for
-    /// `epochs` consecutive dirty epochs.
-    double split_imbalance = 1.35;
-    /// Merge trigger: an adjacent pair whose combined owned occupancy is
-    /// below merge_fill * mean for `epochs` consecutive dirty epochs is
-    /// merged (the merged shard stays below mean, so it does not promptly
-    /// re-split).
-    double merge_fill = 0.55;
-    /// Consecutive dirty epochs a trigger must persist before acting (K).
-    int epochs = 3;
-    /// Dirty epochs to sit out after any split/merge before acting again.
-    int cooldown = 1;
-    /// Shard-count ceiling; 0 means min(2 * Options::shards, kMaxShards).
-    /// At the ceiling a pending split first merges the coldest adjacent
-    /// pair away from the hot shard to free budget.
-    int max_shards = 0;
-    /// Shard-count floor for merges.
-    int min_shards = 1;
-    /// No rebalancing below this population (early noise is not signal).
-    int64_t min_points = 512;
-  };
-
   struct Options {
     /// Slab count S in [1, kMaxShards].
     int shards = 4;
@@ -116,8 +75,6 @@ class ShardedClusterer : public Clusterer {
     /// queued is reported as stalled (stderr + "watchdog.stalls" counter).
     /// 0 disables the monitor thread.
     int64_t watchdog_deadline_ms = 2000;
-    /// Live shard split/merge under skew.
-    RebalanceOptions rebalance;
     /// Structure stack of the per-shard clusterers.
     FullyDynamicClusterer::Options inner;
   };
@@ -165,31 +122,20 @@ class ShardedClusterer : public Clusterer {
   uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
 
   /// Publishes per-shard occupancy/load gauges into the process metrics
-  /// registry under ShardMetricName(shard_id, field) — worker, slab (the
-  /// shard's current slab index), owned, ghosts, core, boundary_core,
-  /// ops_applied, batches, busy_us, queue_hwm — plus the engine.shards
-  /// count, engine.epoch and engine.shard_imbalance gauges. Gauges are
-  /// keyed by *stable shard id* (ids survive index shifts from rebalancing;
-  /// retired shards' gauges are zeroed here, never left stale). Implies
-  /// Flush.
+  /// registry under ShardMetricName(slab, field) — worker, owned, ghosts,
+  /// core, boundary_core, ops_applied, batches, busy_us, queue_hwm — plus
+  /// the engine.shards count, engine.epoch and engine.shard_imbalance
+  /// gauges. Implies Flush.
   void PublishShardMetrics();
 
   /// Registry name of one per-shard gauge: "engine.shard.NN.<field>",
-  /// keyed by the shard's stable id (zero-padded so registry iteration
-  /// orders shards numerically). Ids start equal to slab indices and are
-  /// never reused after a split/merge retires a shard.
-  static std::string ShardMetricName(int shard_id, const char* field);
+  /// keyed by slab index (zero-padded so registry iteration orders shards
+  /// numerically).
+  static std::string ShardMetricName(int slab, const char* field);
 
   const ShardMap& shard_map() const { return map_; }
   int64_t num_boundary_points() const { return stitcher_.num_points(); }
   int64_t num_boundary_edges() const { return stitcher_.num_edges(); }
-
-  /// Rebalance observability (ingest thread).
-  int64_t rebalance_splits() const { return splits_; }
-  int64_t rebalance_merges() const { return merges_; }
-  /// Last computed max/mean owned-occupancy imbalance, in milli-units
-  /// (1500 = 1.5x); 1000 before the first dirty Flush.
-  int64_t shard_imbalance_milli() const { return last_imbalance_milli_; }
 
  private:
   /// One queued update. Inserts carry the point and routing decisions made
@@ -211,11 +157,7 @@ class ShardedClusterer : public Clusterer {
   };
 
   struct Shard {
-    /// Stable identity for telemetry: assigned monotonically at creation,
-    /// never reused. `index` is the current slab position and shifts when
-    /// other slabs split or merge; `id` does not.
-    int id = 0;
-    int index = 0;
+    int index = 0;  // Slab index.
     int worker = 0;
     std::unique_ptr<FullyDynamicClusterer> clusterer;
 
@@ -252,13 +194,6 @@ class ShardedClusterer : public Clusterer {
     bool alive = false;
   };
 
-  /// A live point frozen out of a shard about to be replaced: the payload
-  /// replayed into the successor shard(s).
-  struct Migrant {
-    PointId gid;
-    Point point;
-  };
-
   void RouteInsert(PointId gid, const Point& p);
   void RouteDelete(PointId gid);
   void EnqueueOp(Shard& shard, const Op& op);
@@ -274,44 +209,6 @@ class ShardedClusterer : public Clusterer {
   void PublishSnapshot();
   /// Rebuilds the stitch label table and bumps the epoch.
   void RebuildLabels();
-
-  // --- Elastic rebalancing (ingest thread, workers quiescent). ---
-
-  /// A fresh shard with a new stable id and the core observer wired up;
-  /// index/worker are assigned by RenumberShards.
-  std::unique_ptr<Shard> MakeShard();
-  /// index = position in shards_, worker = index % threads.
-  void RenumberShards();
-  /// (Re)creates the heartbeat watchdog with labels naming the current
-  /// shard-to-worker pinning.
-  void StartWatchdog();
-  /// The rebalance controller: updates the imbalance gauge and trigger
-  /// streaks, and performs at most one split or merge. Returns true when
-  /// the topology changed (caller must RebuildLabels before publishing).
-  bool MaybeRebalance();
-  /// Splits slab `hot` at the median of its owned points; false when no
-  /// admissible cut exists (slab too narrow or too one-sided).
-  bool SplitShard(int hot);
-  /// Merges slabs `left` and `left + 1`.
-  bool MergeShards(int left);
-  /// Median-of-owned-points cut for `shard`, clamped to the 2·halo edge
-  /// margins; false when the result is inadmissible or useless.
-  bool ChooseSplitCut(const Shard& shard, double* cut) const;
-  /// Every live point held by `shard`, in deterministic local-id order.
-  std::vector<Migrant> CollectLive(const Shard& shard) const;
-  /// Applies one migrated insert directly (workers quiescent).
-  void ApplyMigration(Shard& shard, PointId gid, const Point& p);
-  /// Recomputes routing records after the slab set changed around position
-  /// `pos`: points held by the replaced shard(s) are re-routed from their
-  /// coordinates (found via `migrant_of`), everything else index-shifts by
-  /// `delta` above the affected range.
-  void ReRoutePoints(int pos, int replaced, int delta,
-                     const std::vector<Migrant>& migrants,
-                     const FlatHashMap<PointId, int32_t>& migrant_of);
-  /// Rebuilds the boundary stitcher from scratch against the current
-  /// partition: refreshes is_boundary flags and re-registers every live
-  /// owned boundary core point (deterministic order).
-  void ResetStitcher();
 
   DbscanParams params_;
   Options options_;
@@ -331,14 +228,8 @@ class ShardedClusterer : public Clusterer {
   BoundaryStitcher stitcher_;
   std::atomic<uint64_t> epoch_{0};
 
-  /// Rebalance controller state (ingest thread only).
-  int next_shard_id_ = 0;
-  std::vector<int> retired_shard_ids_;  // Gauges to zero at next publish.
-  int split_streak_ = 0;
-  int merge_streak_ = 0;
-  int cooldown_left_ = 0;
-  int64_t splits_ = 0;
-  int64_t merges_ = 0;
+  /// Last max/mean owned-occupancy imbalance, in milli-units (1500 =
+  /// 1.5x); 1000 before the first dirty Flush.
   int64_t last_imbalance_milli_ = 1000;
 
   /// The read side: the latest composed epoch, swapped in by

@@ -481,9 +481,10 @@ class HotspotMigrateScenario : public Scenario {
            " band*extent along dimension 0) jumps to a fresh random location"
            " every `period` updates and its dense blobs are re-drawn inside"
            " the new band; deletes expire the oldest alive point (FIFO), so"
-           " abandoned bands actually drain. Built to force repeated"
-           " split/merge cycles in the elastic sharded engine: wherever the"
-           " band sits turns hot, wherever it left goes cold. Keys: n=100000,"
+           " abandoned bands actually drain. The skew moves over time:"
+           " wherever the band sits turns hot, wherever it left goes cold,"
+           " so a static slab partition sees a different hot shard each"
+           " period and deletes sweep across slab edges. Keys: n=100000,"
            " period=n/6, hot=0.85, band=0.08, clusters=8, cold=12, ins=0.7,"
            " radius=100, noise=0.03, dim=3, qevery=1000, qmin, qmax,"
            " extent=50000, seed";

@@ -156,6 +156,13 @@ int64_t MetricsRegistry::ValueOf(std::string_view name,
   return it == metrics_.end() ? fallback : it->second->Value();
 }
 
+void MetricsRegistry::ResetGauges() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [name, metric] : metrics_) {
+    if (metric->kind() == MetricKind::kGauge) metric->Set(0);
+  }
+}
+
 std::vector<MetricSample> DeltaSince(const std::vector<MetricSample>& before,
                                      const std::vector<MetricSample>& after) {
   std::map<std::string_view, const MetricSample*> base;

@@ -194,6 +194,12 @@ class MetricsRegistry {
   /// under it (reporters and tests; hot paths use the macros).
   int64_t ValueOf(std::string_view name, int64_t fallback = 0) const;
 
+  /// Sets every gauge to 0, so that gauges read afterwards hold only what
+  /// was written since this call (e.g. since the start of one benchmark
+  /// run), not values left behind by earlier work in the process. Counters
+  /// and histograms are untouched; runs read those as deltas.
+  void ResetGauges();
+
  private:
   MetricsRegistry() = default;
 

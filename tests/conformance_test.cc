@@ -72,26 +72,6 @@ std::vector<Combo> AllCombos(double rho) {
                         return std::make_unique<ShardedClusterer>(p, options);
                       }});
   }
-  // The sharded engine with live rebalancing turned all the way up: a
-  // one-epoch trigger streak, no cooldown and a tiny activation floor, so
-  // the small conformance workloads cross split and merge epochs and the
-  // sandwich is checked on either side of every routing-map swap.
-  {
-    ShardedClusterer::Options options;
-    options.shards = 4;
-    options.threads = 4;
-    options.batch = 16;
-    options.warmup = 64;
-    options.rebalance.enabled = true;
-    options.rebalance.split_imbalance = 1.3;
-    options.rebalance.epochs = 1;
-    options.rebalance.cooldown = 0;
-    options.rebalance.min_points = 32;
-    combos.push_back({"sharded/s4-rebalance", true,
-                      [options](const DbscanParams& p) {
-                        return std::make_unique<ShardedClusterer>(p, options);
-                      }});
-  }
   return combos;
 }
 

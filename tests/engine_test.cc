@@ -1,5 +1,4 @@
 #include <atomic>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -178,77 +177,6 @@ TEST(ShardMapTest, EmptySampleStillAppliesTheWidthFloor) {
     const ShardMap::Range r = map.HoldersOf(P2(x, 0));
     EXPECT_LE(r.last - r.first + 1, 2) << "x=" << x;
   }
-}
-
-TEST(ShardMapTest, SplitSlabShiftsOwnersAndKeepsHaloCoverage) {
-  ShardMap map(4, 1, /*halo=*/10.0);
-  map.InitFromSample({Point{0}, Point{400}});  // cuts 100, 200, 300
-
-  ASSERT_TRUE(map.CanSplitAt(1, 150.0));
-  map.SplitSlab(1, 150.0);
-  EXPECT_EQ(map.shards(), 5);
-  const std::vector<double> want = {100, 150, 200, 300};
-  EXPECT_EQ(map.cuts(), want);
-
-  // The split children partition the old slab; everything above shifted.
-  EXPECT_EQ(map.OwnerOf(Point{120}), 1);
-  EXPECT_EQ(map.OwnerOf(Point{160}), 2);
-  EXPECT_EQ(map.OwnerOf(Point{250}), 3);
-  EXPECT_EQ(map.OwnerOf(Point{350}), 4);
-  EXPECT_EQ(map.OwnerOf(Point{50}), 0);
-
-  // Halo coverage survives the reshape: every point within halo of an
-  // owned point is held by the owner, and contiguity bounds replication.
-  for (double x = -50; x <= 450; x += 0.5) {
-    const int owner = map.OwnerOf(Point{x});
-    for (double dx = -10; dx <= 10; dx += 0.5) {
-      const ShardMap::Range h = map.HoldersOf(Point{x + dx});
-      EXPECT_LE(h.first, owner);
-      EXPECT_GE(h.last, owner);
-      EXPECT_LE(h.last - h.first + 1, 2);
-    }
-  }
-}
-
-TEST(ShardMapTest, CanSplitAtEnforcesTheTwoHaloMargins) {
-  ShardMap map(4, 1, /*halo=*/10.0);
-  map.InitFromSample({Point{0}, Point{400}});  // cuts 100, 200, 300
-
-  // Interior slab [100, 200): both children need >= 2*halo = 20 of width.
-  EXPECT_TRUE(map.CanSplitAt(1, 120.0));
-  EXPECT_TRUE(map.CanSplitAt(1, 180.0));
-  EXPECT_FALSE(map.CanSplitAt(1, 119.0));  // Left child too narrow.
-  EXPECT_FALSE(map.CanSplitAt(1, 181.0));  // Right child too narrow.
-  EXPECT_FALSE(map.CanSplitAt(1, 90.0));   // Outside the slab entirely.
-
-  // End slabs are unbounded on one side: only the finite edge constrains.
-  EXPECT_TRUE(map.CanSplitAt(0, 80.0));
-  EXPECT_TRUE(map.CanSplitAt(0, -1000.0));
-  EXPECT_FALSE(map.CanSplitAt(0, 81.0));
-
-  const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_FALSE(map.CanSplitAt(0, -inf));
-  EXPECT_FALSE(map.CanSplitAt(3, inf));
-}
-
-TEST(ShardMapTest, MergeSlabsIsTheInverseOfSplit) {
-  ShardMap map(4, 1, /*halo=*/10.0);
-  map.InitFromSample({Point{0}, Point{400}});
-  const std::vector<double> original = map.cuts();
-
-  map.SplitSlab(2, 250.0);
-  EXPECT_EQ(map.shards(), 5);
-  map.MergeSlabs(2);
-  EXPECT_EQ(map.shards(), 4);
-  EXPECT_EQ(map.cuts(), original);
-
-  // Merging the first pair erases the lowest cut; owners shift down.
-  map.MergeSlabs(0);
-  EXPECT_EQ(map.shards(), 3);
-  EXPECT_EQ(map.OwnerOf(Point{50}), 0);
-  EXPECT_EQ(map.OwnerOf(Point{150}), 0);
-  EXPECT_EQ(map.OwnerOf(Point{250}), 1);
-  EXPECT_EQ(map.OwnerOf(Point{350}), 2);
 }
 
 // ---------------------------------------------------------------------------

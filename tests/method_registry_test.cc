@@ -1,5 +1,6 @@
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -35,6 +36,9 @@ TEST(MethodRegistryTest, SpecGrammarAndKnobValidation) {
   EXPECT_TRUE(ValidateMethodSpec(
       "sharded-double-approx:shards=8,threads=4,batch=128,warmup=0", &why))
       << why;
+  // A trailing colon means "no knobs", as in the scenario grammar.
+  EXPECT_TRUE(ValidateMethodSpec("double-approx:", &why)) << why;
+  EXPECT_TRUE(ValidateMethodSpec("sharded-double-approx:", &why)) << why;
 
   EXPECT_FALSE(ValidateMethodSpec("no-such-method", &why));
   EXPECT_NE(why.find("unknown method"), std::string::npos);
@@ -44,6 +48,9 @@ TEST(MethodRegistryTest, SpecGrammarAndKnobValidation) {
 
   EXPECT_FALSE(ValidateMethodSpec("sharded-double-approx:sharsd=4", &why));
   EXPECT_NE(why.find("no knob 'sharsd'"), std::string::npos);
+  EXPECT_FALSE(
+      ValidateMethodSpec("sharded-double-approx:rebalance=1", &why));
+  EXPECT_NE(why.find("no knob 'rebalance'"), std::string::npos);
 
   EXPECT_FALSE(ValidateMethodSpec("sharded-double-approx:shards=none", &why));
   EXPECT_NE(why.find("not an integer"), std::string::npos);
@@ -53,8 +60,20 @@ TEST(MethodRegistryTest, SpecGrammarAndKnobValidation) {
   EXPECT_FALSE(ValidateMethodSpec("sharded-double-approx:shards=65", &why));
   EXPECT_FALSE(ValidateMethodSpec("sharded-double-approx:shards", &why));
   EXPECT_NE(why.find("key=value"), std::string::npos);
+  EXPECT_FALSE(ValidateMethodSpec("sharded-double-approx:shards=2,", &why));
+  EXPECT_NE(why.find("malformed knob ''"), std::string::npos);
+  EXPECT_FALSE(ValidateMethodSpec("sharded-double-approx:=2", &why));
+  EXPECT_NE(why.find("malformed knob '=2'"), std::string::npos);
   EXPECT_FALSE(ValidateMethodSpec("", &why));
   EXPECT_FALSE(ValidateMethodSpec(":shards=2", &why));
+
+  std::vector<std::string> sharded_knobs;
+  for (const MethodInfo& info : AllMethodInfos()) {
+    if (info.name != "sharded-double-approx") continue;
+    for (const MethodKnob& knob : info.knobs) sharded_knobs.push_back(knob.key);
+  }
+  EXPECT_EQ(sharded_knobs, (std::vector<std::string>{"shards", "threads",
+                                                     "batch", "warmup"}));
 }
 
 TEST(MethodRegistryTest, SpecAwareHelpers) {

@@ -111,6 +111,23 @@ TEST(MetricsTest, DeltaSinceSubtractsCountersAndPassesGaugesThrough) {
   EXPECT_EQ(value_of("test.metrics.delta.gauge"), 50);
 }
 
+TEST(MetricsTest, ResetGaugesZeroesGaugesOnly) {
+  DDC_GAUGE_SET("test.metrics.reset.gauge", 42);
+  DDC_GAUGE_MAX("test.metrics.reset.hwm", 9);
+  DDC_COUNTER_ADD("test.metrics.reset.counter", 5);
+  DDC_HISTOGRAM_RECORD("test.metrics.reset.hist", 3.0);
+  MetricsRegistry& registry = MetricsRegistry::Instance();
+  registry.ResetGauges();
+  EXPECT_EQ(registry.ValueOf("test.metrics.reset.gauge", -1), 0);
+  EXPECT_EQ(registry.ValueOf("test.metrics.reset.hwm", -1), 0);
+  // Counters and histograms keep their totals; runs read them as deltas.
+  EXPECT_EQ(registry.ValueOf("test.metrics.reset.counter"), 5);
+  EXPECT_EQ(registry.ValueOf("test.metrics.reset.hist"), 1);
+  // A high-water mark restarts from zero, so a lower value now sticks.
+  DDC_GAUGE_MAX("test.metrics.reset.hwm", 3);
+  EXPECT_EQ(registry.ValueOf("test.metrics.reset.hwm"), 3);
+}
+
 TEST(MetricsTest, ConcurrentHistogramRecordsSumExactly) {
   Metric& hist = MetricsRegistry::Instance().GetOrCreate(
       "test.metrics.hist_concurrent", MetricKind::kHistogram);

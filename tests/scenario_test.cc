@@ -85,6 +85,12 @@ TEST(ScenarioSpecTest, NameOnly) {
   EXPECT_EQ(spec.name(), "burst");
   EXPECT_EQ(spec.GetInt("n", 123), 123);
   spec.CheckAllKeysConsumed();  // Nothing to consume.
+
+  // A trailing colon means "no knobs", as in the method grammar.
+  const ScenarioSpec colon = ScenarioSpec::Parse("burst:");
+  EXPECT_EQ(colon.name(), "burst");
+  EXPECT_EQ(colon.GetInt("n", 123), 123);
+  colon.CheckAllKeysConsumed();
 }
 
 TEST(ScenarioSpecTest, TypedParameterAccess) {

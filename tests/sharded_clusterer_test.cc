@@ -1,3 +1,4 @@
+#include <cmath>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -127,8 +128,9 @@ TEST(ShardedClustererTest, DeletesAndAlivePointsStayConsistent) {
 }
 
 /// Telemetry invariants, and the point of the hotspot scenario: the slab
-/// holding the hot band owns the bulk of the stream. Occupancy now lands in
-/// the process metrics registry as engine.shard.NN.* gauges.
+/// holding the hot band owns the bulk of the stream. Occupancy lands in the
+/// process metrics registry as engine.shard.NN.* gauges, and the skew as
+/// the engine.shard_imbalance gauge.
 TEST(ShardedClustererTest, TelemetryExposesHotspotImbalance) {
   const DbscanParams params{.dim = 2, .eps = 110.0, .min_pts = 5,
                             .rho = 0.001};
@@ -166,6 +168,10 @@ TEST(ShardedClustererTest, TelemetryExposesHotspotImbalance) {
   EXPECT_GE(ops, w.num_updates);
   // 90% of inserts land in a 10%-wide band: the hot slab dominates.
   EXPECT_GT(max_owned, engine.size() / 2);
+  // The imbalance gauge is max/mean owned occupancy in milli-units.
+  const double mean = static_cast<double>(engine.size()) / 4;
+  EXPECT_EQ(registry.ValueOf("engine.shard_imbalance", -1),
+            std::llround(static_cast<double>(max_owned) / mean * 1000.0));
 }
 
 /// Batched ingest must survive interleaved flushes at every shard count

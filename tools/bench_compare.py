@@ -38,10 +38,12 @@ import sys
 from pathlib import Path
 
 
-# Every field this tool reads exists unchanged in both versions, so v2
-# baselines (the committed trajectory dirs) compare against v3 candidates
-# transparently; v3 merely adds run.interrupted and a metrics section.
-ACCEPTED_SCHEMAS = (2, 3)
+# Every field this tool reads exists unchanged in all three versions, so
+# the committed v1 and v2 trajectory dirs compare against v3 candidates
+# transparently: v2 only added read-side fields (run.query_threads,
+# run.reader_*, latency_us.reader_query), v3 run.interrupted and a metrics
+# section.
+ACCEPTED_SCHEMAS = (1, 2, 3)
 
 
 def load_bench_dir(path, key_mode):

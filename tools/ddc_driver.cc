@@ -21,12 +21,6 @@
 //                 semi-dynamic methods are skipped on workloads with deletes).
 //   --threads     Default worker-thread count for sharded methods: appended
 //                 as threads=N to every sharded-* spec that does not set it.
-//   --rebalance   Default for the sharded engine's elastic split/merge
-//                 controller (0/1): appended as rebalance=N to every
-//                 sharded-* spec that does not set it. The companion knobs
-//                 --rb-split, --rb-merge, --rb-epochs, --rb-cooldown,
-//                 --rb-max-shards and --rb-min-points pass through the same
-//                 way (spec knobs always win; see --list for their meaning).
 //   --query-threads
 //                 Closed-loop snapshot reader threads (default 0 = queries
 //                 run on the main thread). With N > 0 the main thread
@@ -305,30 +299,15 @@ int main(int argc, char** argv) {
   DDC_CHECK(!specs.empty() && !methods.empty());
 
   // --threads=N is the default thread count for sharded methods: appended to
-  // every sharded-* spec that does not pin threads= itself. The rebalance
-  // flags work the same way — defaults for every sharded-* spec, overridden
-  // by a spec's own knob (e.g. --rebalance=1 --rb-epochs=2 turns the elastic
-  // split/merge controller on across the whole sweep).
-  {
-    struct SharedKnob {
-      const char* flag;
-      const char* knob;
-    };
-    static constexpr SharedKnob kSharedKnobs[] = {
-        {"threads", "threads="},         {"rebalance", "rebalance="},
-        {"rb-split", "rb_split="},       {"rb-merge", "rb_merge="},
-        {"rb-epochs", "rb_epochs="},     {"rb-cooldown", "rb_cooldown="},
-        {"rb-max-shards", "rb_max_shards="},
-        {"rb-min-points", "rb_min_points="}};
-    for (const SharedKnob& k : kSharedKnobs) {
-      if (!flags.Has(k.flag)) continue;
-      const std::string value = flags.GetString(k.flag, "");
-      for (std::string& m : methods) {
-        if (ddc::MethodBaseName(m).rfind("sharded-", 0) != 0) continue;
-        if (m.find(k.knob) != std::string::npos) continue;
-        m += (m.find(':') == std::string::npos ? ':' : ',');
-        m += k.knob + value;
-      }
+  // every sharded-* spec that does not pin threads= itself.
+  if (flags.Has("threads")) {
+    const std::string threads = flags.GetString("threads", "");
+    for (std::string& m : methods) {
+      if (ddc::MethodBaseName(m).rfind("sharded-", 0) != 0) continue;
+      if (m.find("threads=") != std::string::npos) continue;
+      if (m.find(':') == std::string::npos) m += ':';
+      if (m.back() != ':') m += ',';
+      m += "threads=" + threads;
     }
   }
 
@@ -432,7 +411,10 @@ int main(int argc, char** argv) {
 
       // Best-effort HWM reset so peak_rss_bytes is per-run, not the
       // cumulative maximum across everything this process ran before.
+      // Gauges likewise start the run at zero: this run's BENCH file must
+      // not report what an earlier run in the same invocation left there.
       ddc::ResetPeakRss();
+      ddc::MetricsRegistry::Instance().ResetGauges();
       std::unique_ptr<ddc::Clusterer> clusterer =
           ddc::MakeMethod(method, params);
       ddc::RunOptions options;
