@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the individual substrates: union-find,
 // Euler-tour forests, HDT connectivity, grid maintenance, emptiness queries,
-// range counting, and the flat-hash / packed-coordinate layouts the hot
-// paths run on. These are the per-operation costs the amortized analyses of
-// Theorems 1 and 4 are built from.
+// range counting, the flat-hash / packed-coordinate layouts the hot paths
+// run on, and the snapshot freeze. These are the per-operation costs the
+// amortized analyses of Theorems 1 and 4 are built from.
 
 #include <benchmark/benchmark.h>
 
@@ -11,11 +11,15 @@
 #include "common/flat_hash.h"
 #include "common/random.h"
 #include "connectivity/hdt.h"
+#include "core/cluster_snapshot.h"
 #include "core/emptiness.h"
+#include "core/fully_dynamic_clusterer.h"
 #include "counting/approx_counter.h"
 #include "geom/simd_kernels.h"
 #include "grid/grid.h"
+#include "telemetry/metrics.h"
 #include "unionfind/union_find.h"
+#include "workload/seed_spreader.h"
 
 namespace ddc {
 namespace {
@@ -361,6 +365,106 @@ void BM_Grid_RangeScanIndirect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Grid_RangeScanIndirect)->Arg(2)->Arg(3)->Arg(7);
+
+/// A double-approx clusterer (FullyDynamicClusterer, default structures)
+/// holding 100k seed-spreader points in d = 3 at the driver's parameters
+/// (ε = 100·d, MinPts = 10, ρ = 0.001), and an update stream that keeps the
+/// alive count at 100k: each update inserts a random point of the pool not
+/// alive now or deletes a random alive one, with equal odds.
+struct FreezeFixture {
+  static constexpr int kAlive = 100000;
+  static constexpr int kPool = 500000;
+
+  FreezeFixture()
+      : clusterer(DbscanParams{.dim = 3, .eps = 300.0, .min_pts = 10,
+                               .rho = 0.001}) {
+    SeedSpreaderConfig spreader;
+    spreader.dim = 3;
+    spreader.num_points = kPool;
+    // One walk per 4000 points, like perfbench's paper-mixed inputs.
+    spreader.expected_restarts = spreader.num_points / 4000.0;
+    points = GenerateSeedSpreader(spreader, rng);
+    for (int i = 0; i < kPool; ++i) idle.push_back(i);
+    for (int i = 0; i < kAlive; ++i) Insert();
+  }
+
+  void Insert() {
+    const size_t k = rng.NextBelow(idle.size());
+    std::swap(idle[k], idle.back());
+    const int i = idle.back();
+    idle.pop_back();
+    alive.emplace_back(clusterer.Insert(points[i]), i);
+  }
+
+  void Update() {
+    if (rng.NextBernoulli(0.5)) {
+      Insert();
+      return;
+    }
+    const size_t k = rng.NextBelow(alive.size());
+    clusterer.Delete(alive[k].first);
+    idle.push_back(alive[k].second);
+    alive[k] = alive.back();
+    alive.pop_back();
+  }
+
+  Rng rng{12};
+  FullyDynamicClusterer clusterer;
+  std::vector<Point> points;
+  std::vector<int> idle;  // Pool indices not alive now.
+  std::vector<std::pair<PointId, int>> alive;  // (id, pool index).
+};
+
+/// Snapshot freeze at 100k alive points, after k updates (second arg) on a
+/// fresh fixture per run, so every variant sees the same state drift. First
+/// arg 1: Snapshot() over the previous freeze, which rebuilds only the pages
+/// and cells those updates dirtied. First arg 0: the first, full freeze of
+/// the same state (GridSnapshot::Build with no previous snapshot).
+void BM_GridSnapshot_Freeze(benchmark::State& state) {
+  const bool incremental = state.range(0) != 0;
+  const int64_t k = state.range(1);
+  FreezeFixture fixture;
+  FullyDynamicClusterer& c = fixture.clusterer;
+  c.Snapshot();
+  const MetricsRegistry& metrics = MetricsRegistry::Instance();
+  auto read = [&](const char* name) {
+    return static_cast<double>(metrics.ValueOf(name));
+  };
+  const double pages_before = read("core.snapshot_pages_rebuilt");
+  const double pages_reused_before = read("core.snapshot_pages_reused");
+  const double cells_before = read("core.snapshot_cells_rebuilt");
+  const double cells_reused_before = read("core.snapshot_cells_reused");
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (int64_t i = 0; i < k; ++i) fixture.Update();
+    state.ResumeTiming();
+    if (incremental) {
+      benchmark::DoNotOptimize(c.Snapshot());
+      continue;
+    }
+    SnapshotDirtySet dirty;
+    benchmark::DoNotOptimize(GridSnapshot::Build(
+        c.grid(), [&](PointId p) { return c.is_core(p); },
+        [&](CellId, PointId p) { return c.CoreLabelOf(p); }, c.params(), 0,
+        nullptr, &dirty));
+  }
+  state.counters["alive"] = static_cast<double>(c.size());
+  // Share of the page table and of the cells each freeze rebuilt.
+  const double pages = read("core.snapshot_pages_rebuilt") - pages_before;
+  const double cells = read("core.snapshot_cells_rebuilt") - cells_before;
+  state.counters["pages_rebuilt"] =
+      pages / std::max(1.0, pages + read("core.snapshot_pages_reused") -
+                                pages_reused_before);
+  state.counters["cells_rebuilt"] =
+      cells / std::max(1.0, cells + read("core.snapshot_cells_reused") -
+                                cells_reused_before);
+}
+BENCHMARK(BM_GridSnapshot_Freeze)
+    ->Args({0, 1000})
+    ->Args({1, 1})
+    ->Args({1, 1000})
+    ->Iterations(200)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace ddc

@@ -1,9 +1,9 @@
 #ifndef DDC_CORE_CLUSTER_SNAPSHOT_H_
 #define DDC_CORE_CLUSTER_SNAPSHOT_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -12,18 +12,22 @@
 #include "common/flat_hash.h"
 #include "core/cluster_query.h"
 #include "core/clusterer.h"
+#include "core/params.h"
 #include "geom/box.h"
 #include "geom/point.h"
 #include "geom/simd_kernels.h"
 #include "grid/grid.h"
+#include "telemetry/metrics.h"
+#include "telemetry/trace.h"
 
 namespace ddc {
 
 /// An immutable, epoch-versioned view of one clustering: the read side of
-/// the read/write split. A snapshot is deep-frozen at creation — it shares
-/// no mutable state with the clusterer that produced it — so any number of
-/// threads may Query it concurrently while updates keep flowing into the
-/// live structures. Lookups are const and mutation-free by construction
+/// the read/write split. A snapshot is frozen at creation — it shares no
+/// mutable state with the clusterer that produced it, only immutable blocks
+/// with that clusterer's other snapshots — so any number of threads may
+/// Query it concurrently while updates keep flowing into the live
+/// structures. Lookups are const and mutation-free by construction
 /// (labels are resolved at build time through the read-only find variants;
 /// no path compression or splaying ever runs on the read path).
 ///
@@ -56,6 +60,50 @@ class ClusterSnapshot {
   uint64_t epoch_;
 };
 
+/// What changed since a grid clusterer's last freeze: one bit per
+/// GridSnapshot id page and one per grid cell, a sliver of the grid's own
+/// per-id and per-cell tables. The clusterers mark on every update;
+/// GridSnapshot::Build reads the bits and clears them.
+class SnapshotDirtySet {
+ public:
+  /// Ids per page of frozen per-point state. A constant, not a knob: 64 ids
+  /// keep the pages touched by ~1000 scattered updates below a tenth of the
+  /// table at 100k+ points, where 1024-id pages are mostly dirty.
+  static constexpr int kPageBits = 6;
+  static constexpr int kPageSize = 1 << kPageBits;
+
+  /// Point `p` was inserted or deleted, or its core status flipped.
+  void MarkPoint(PointId p) {
+    Set(pages_, static_cast<size_t>(p) >> kPageBits);
+  }
+
+  /// The core-member set of `cell` changed (one of its points was promoted
+  /// or demoted, or a core point arrived or left).
+  void MarkCell(CellId cell) { Set(cells_, static_cast<size_t>(cell)); }
+
+  bool page(int64_t page) const { return Test(pages_, page); }
+  bool cell(CellId cell) const { return Test(cells_, cell); }
+
+  void Clear() {
+    std::fill(pages_.begin(), pages_.end(), 0);
+    std::fill(cells_.begin(), cells_.end(), 0);
+  }
+
+ private:
+  static void Set(std::vector<uint64_t>& bits, size_t i) {
+    const size_t word = i >> 6;
+    if (word >= bits.size()) bits.resize(word + 1, 0);
+    bits[word] |= uint64_t{1} << (i & 63);
+  }
+  static bool Test(const std::vector<uint64_t>& bits, int64_t i) {
+    const size_t word = static_cast<size_t>(i) >> 6;
+    return word < bits.size() && ((bits[word] >> (i & 63)) & 1) != 0;
+  }
+
+  std::vector<uint64_t> pages_;
+  std::vector<uint64_t> cells_;
+};
+
 /// The frozen single-grid snapshot behind SemiDynamicClusterer,
 /// FullyDynamicClusterer and IncrementalDbscan (and, per shard, behind the
 /// sharded engine): per-point alive/core bits and packed coordinates, and
@@ -65,43 +113,55 @@ class ClusterSnapshot {
 /// every ε-close core cell whose frozen emptiness query (brute-force scan
 /// with the cell-box miss prefilter, radius (1+ρ)ε) certifies a proof —
 /// which is conforming for the Theorem 3 sandwich and exact at rho == 0.
+///
+/// The state lives in immutable blocks that consecutive snapshots share:
+/// per-point state in pages of kPageSize ids, per-cell state in one block
+/// per cell. A freeze rebuilds, into fresh allocations, only the pages and
+/// cells its SnapshotDirtySet names (plus the cells whose ε-close core-cell
+/// list changed), shares every other block with the previous snapshot, and
+/// never writes to a block a published snapshot holds. Labels are the one
+/// per-cell fact that can change without any update to the cell (a
+/// connectivity change elsewhere), so they are re-resolved for every core
+/// cell on every freeze.
 class GridSnapshot final : public ClusterSnapshot {
  public:
-  /// What Build reads from the live clusterer. `cell_label(cell, p)` must
-  /// return the CC label of core cell `cell` (where `p` is one of its core
-  /// members — IncDBSCAN labels clusters through core points, the grid
-  /// clusterers through cells); it is called once per core cell and must be
-  /// a read-only lookup.
-  struct Sources {
-    const Grid* grid = nullptr;
-    std::function<bool(PointId)> is_core;
-    std::function<uint64_t(CellId, PointId)> cell_label;
-  };
+  static constexpr int kPageBits = SnapshotDirtySet::kPageBits;
+  static constexpr int kPageSize = SnapshotDirtySet::kPageSize;
 
-  /// Deep-freezes the query-relevant state. O(total points + cells + cell
-  /// adjacency); runs on the clusterer's owning thread while the structures
-  /// are quiescent.
-  static std::shared_ptr<const GridSnapshot> Build(const Sources& sources,
-                                                   double eps_outer,
-                                                   uint64_t epoch);
+  /// Freezes the query-relevant state of `grid` at `epoch`, reusing every
+  /// block of `prev` (the previous freeze of the same grid, or null) that
+  /// `dirty` leaves clean, and clears `dirty`. `is_core(p)` is the
+  /// clusterer's core bit; `cell_label(cell, p)` must return the CC label of
+  /// core cell `cell`, where `p` is one of its core members (IncDBSCAN labels
+  /// clusters through core points, the grid clusterers through cells), and
+  /// must be a read-only lookup. `params` gives the membership radius
+  /// (1+ρ)ε and MinPts. Runs on the clusterer's owning thread while the
+  /// structures are quiescent. O(pages + cells) table work plus
+  /// O(points of the dirty pages and cells) copying, plus one label lookup
+  /// per core cell; the first freeze (null `prev`) is the same build with
+  /// every page and cell dirty.
+  template <typename IsCore, typename CellLabel>
+  static std::shared_ptr<const GridSnapshot> Build(
+      const Grid& grid, const IsCore& is_core, const CellLabel& cell_label,
+      const DbscanParams& params, uint64_t epoch, const GridSnapshot* prev,
+      SnapshotDirtySet* dirty);
 
   CGroupByResult Query(const std::vector<PointId>& q) const override;
 
   bool alive(PointId id) const override {
-    return id >= 0 && id < static_cast<PointId>(cell_of_.size()) &&
-           cell_of_[id] >= 0;
+    return id >= 0 && id < num_points_ && page(id).cell[Slot(id)] >= 0;
   }
   int64_t size() const override { return alive_; }
 
   bool is_core(PointId id) const {
     DDC_DCHECK(alive(id));
-    return point_core_[id] != 0;
+    return page(id).core[Slot(id)] != 0;
   }
 
   /// CC label of core point `id` (its cell's frozen label).
   uint64_t CoreLabelOf(PointId id) const {
     DDC_DCHECK(is_core(id));
-    return cells_[cell_of_[id]].label;
+    return labels_[page(id).cell[Slot(id)]];
   }
 
   /// Invokes `fn(label)` once per distinct cluster containing alive point
@@ -110,75 +170,195 @@ class GridSnapshot final : public ClusterSnapshot {
   template <typename Fn>
   void ForEachMembershipLabel(PointId pid, Fn&& fn) const {
     DDC_DCHECK(alive(pid));
-    const int32_t c = cell_of_[pid];
-    if (point_core_[pid] != 0) {
-      fn(cells_[c].label);
+    const PointPage& pg = page(pid);
+    const int slot = Slot(pid);
+    const int32_t c = pg.cell[slot];
+    if (pg.core[slot] != 0) {
+      fn(labels_[c]);
       return;
     }
     Point p;
-    const double* pc = point_coords_.data() +
-                       static_cast<size_t>(pid) * static_cast<size_t>(dim_);
+    const double* pc = pg.coords.data() + static_cast<size_t>(slot) * dim_;
     for (int k = 0; k < dim_; ++k) p[k] = pc[k];
     MembershipLabelSet assigned;
     auto consider = [&](int32_t cell) {
-      const CellRec& r = cells_[cell];
-      if (r.members_begin == r.members_end) return;  // Not a core cell.
-      if (BoxMiss(cell, p)) return;
-      const double* m = member_coords_.data() +
-                        static_cast<size_t>(r.members_begin) *
-                            static_cast<size_t>(dim_);
+      const CellBlock& b = *cells_[cell];
+      if (b.num_members == 0) return;  // Not a core cell.
+      if (BoxMiss(b, p)) return;
       // Batched membership test over the frozen packed core members.
-      if (!AnyWithinPacked(p, m, r.members_end - r.members_begin, dim_,
+      if (!AnyWithinPacked(p, b.members.data(), b.num_members, dim_,
                            eps_outer_sq_)) {
         return;
       }
-      if (assigned.Insert(r.label)) fn(r.label);
+      if (assigned.Insert(labels_[cell])) fn(labels_[cell]);
     };
     consider(c);
-    const CellRec& own = cells_[c];
-    for (int32_t i = own.nbr_begin; i < own.nbr_end; ++i) {
-      consider(core_neighbors_[i]);
-    }
+    for (const CellId nb : cells_[c]->core_neighbors) consider(nb);
   }
 
  private:
-  /// The persistence layer (persist/snapshot_io.cc) serializes and rebuilds
-  /// the frozen vectors directly — the on-disk sections mirror them 1:1.
+  /// The persistence layer (persist/snapshot_io.cc) flattens the blocks
+  /// into the on-disk sections on save and pages them back on load.
   friend class SnapshotIO;
 
-  struct CellRec {
-    uint64_t label = 0;  // Valid when members_begin < members_end.
-    int32_t members_begin = 0;
-    int32_t members_end = 0;
-    int32_t nbr_begin = 0;
-    int32_t nbr_end = 0;
+  /// Frozen state of ids [page * kPageSize, (page + 1) * kPageSize); a new
+  /// page has every id dead and all coordinates zero.
+  struct PointPage {
+    explicit PointPage(int dim)
+        : coords(static_cast<size_t>(kPageSize) * dim, 0.0) {
+      std::fill_n(cell, kPageSize, -1);
+      std::fill_n(core, kPageSize, 0);
+    }
+
+    int32_t cell[kPageSize];  // Home cell; -1 = dead or not yet inserted.
+    uint8_t core[kPageSize];
+    std::vector<double> coords;  // kPageSize rows of dim doubles.
   };
+
+  /// Frozen state of one cell. The fields a query reads first (is it a
+  /// core cell, where are its members) lead; the 128-byte box follows.
+  struct CellBlock {
+    int32_t num_members = 0;
+    /// First core member at freeze time: the point label lookups go
+    /// through. kInvalidPoint for a non-core cell or one loaded from disk.
+    PointId rep = kInvalidPoint;
+    std::vector<double> members;  // Core members, dim doubles each.
+    std::vector<CellId> core_neighbors;  // ε-close core cells.
+    Box box;
+  };
+
+  /// Build's out-of-line half: sharing the clean blocks, allocating the
+  /// dirty ones, re-linking the neighbors of cells whose core-cell status
+  /// flipped, and the reuse counters. Build's template body runs only the
+  /// per-point loops, so the clusterer's core bit is read inline.
+  class Freezer;
 
   explicit GridSnapshot(uint64_t epoch) : ClusterSnapshot(epoch) {}
 
+  static int Slot(PointId id) { return id & (kPageSize - 1); }
+  const PointPage& page(PointId id) const { return *pages_[id >> kPageBits]; }
+
   /// The emptiness miss prefilter of the live structures, on the frozen
-  /// cell box: O(d) certainty that no member of `cell` is within (1+ρ)ε.
+  /// cell box: O(d) certainty that no member of the cell is within (1+ρ)ε.
   /// Same formula and slack rule as BoxMiss in core/emptiness.cc.
-  bool BoxMiss(int32_t cell, const Point& p) const {
-    return cell_boxes_[cell].MinSquaredDistance(p, dim_) >
+  bool BoxMiss(const CellBlock& b, const Point& p) const {
+    return b.box.MinSquaredDistance(p, dim_) >
            eps_outer_sq_ * (1 + kBoxPrefilterSlack);
   }
 
   int dim_ = 0;
   double eps_outer_sq_ = 0;
   int64_t alive_ = 0;
+  int64_t num_points_ = 0;  // Ids ever inserted at freeze time.
 
-  // Per point, indexed by PointId in [0, total_inserted at freeze time).
-  std::vector<int32_t> cell_of_;  // -1 = dead.
-  std::vector<uint8_t> point_core_;
-  std::vector<double> point_coords_;  // Packed, dim doubles per point.
-
-  // Per cell (same CellId indexing as the source grid).
-  std::vector<CellRec> cells_;
-  std::vector<Box> cell_boxes_;
-  std::vector<double> member_coords_;  // Core members, grouped by cell.
-  std::vector<int32_t> core_neighbors_;  // ε-close core cells, per cell.
+  std::vector<std::shared_ptr<const PointPage>> pages_;
+  std::vector<std::shared_ptr<const CellBlock>> cells_;  // By CellId.
+  std::vector<uint64_t> labels_;  // By CellId; 0 for non-core cells.
 };
+
+class GridSnapshot::Freezer {
+ public:
+  Freezer(const Grid& grid, double eps_outer, uint64_t epoch,
+          const GridSnapshot* prev, const SnapshotDirtySet& dirty);
+
+  /// Pages to rebuild: dirty, or absent from the previous snapshot.
+  const std::vector<int64_t>& pages() const { return pages_; }
+  /// Cells whose members to rebuild: dirty, or absent from the previous
+  /// snapshot.
+  const std::vector<CellId>& cells() const { return cells_; }
+
+  /// A new page for `page`, installed in the snapshot.
+  PointPage& NewPage(int64_t page);
+
+  /// A fresh block for `cell`, installed in the snapshot, with its box set
+  /// and room reserved for `num_members` core members.
+  CellBlock& NewCell(CellId cell, int32_t num_members);
+
+  /// Fills the ε-close core-cell list of every fresh block, first giving a
+  /// fresh copy to each clean cell next to one whose core-cell status
+  /// flipped.
+  void Relink();
+
+  GridSnapshot& snapshot() { return *snap_; }
+
+  /// Records the reuse counters, clears `dirty` and hands the snapshot out.
+  std::shared_ptr<const GridSnapshot> Finish(SnapshotDirtySet* dirty);
+
+ private:
+  const Grid& grid_;
+  std::shared_ptr<GridSnapshot> snap_;
+  std::vector<int64_t> pages_;
+  std::vector<CellId> cells_;
+  /// Per cell: its fresh, not yet published block, or null while shared.
+  std::vector<CellBlock*> fresh_;
+  std::vector<CellId> flipped_;  // Cells whose core-cell status flipped.
+};
+
+template <typename IsCore, typename CellLabel>
+std::shared_ptr<const GridSnapshot> GridSnapshot::Build(
+    const Grid& grid, const IsCore& is_core, const CellLabel& cell_label,
+    const DbscanParams& params, uint64_t epoch, const GridSnapshot* prev,
+    SnapshotDirtySet* dirty) {
+  DDC_TRACE_SPAN("core.snapshot_build");
+  DDC_HISTOGRAM_SCOPED("core.snapshot_build");
+  DDC_COUNTER_INC("core.snapshot_builds");
+  Freezer f(grid, params.eps_outer(), epoch, prev, *dirty);
+  const int dim = grid.dim();
+
+  // Pages: home cell, core bit and packed coordinates of each alive id.
+  const int64_t total = grid.total_inserted();
+  for (const int64_t pg : f.pages()) {
+    PointPage& out = f.NewPage(pg);
+    const PointId first = static_cast<PointId>(pg << kPageBits);
+    const int n = static_cast<int>(std::min<int64_t>(kPageSize, total - first));
+    for (int i = 0; i < n; ++i) {
+      const PointId p = first + i;
+      if (!grid.alive(p)) continue;
+      out.cell[i] = grid.cell_of(p);
+      out.core[i] = is_core(p) ? 1 : 0;
+      const Point& pt = grid.point(p);
+      std::copy_n(pt.data(), dim, out.coords.data() + i * dim);
+    }
+  }
+
+  // Cells: core members' packed coordinates. A cell holding MinPts points
+  // is dense: any two of its points are within ε, so every one of them is
+  // core (under the exact, relaxed and IncDBSCAN predicates alike) and its
+  // members are the grid's packed coordinates verbatim. Sparse cells are
+  // filtered point by point, sized before they are copied.
+  for (const CellId c : f.cells()) {
+    const Cell& cell = grid.cell(c);
+    if (cell.size() >= params.min_pts) {
+      DDC_DCHECK(std::all_of(cell.points.begin(), cell.points.end(),
+                             [&](PointId p) { return is_core(p); }));
+      CellBlock& out = f.NewCell(c, cell.size());
+      out.rep = cell.points[0];
+      out.members.assign(cell.coords.begin(), cell.coords.end());
+      continue;
+    }
+    int32_t num_members = 0;
+    for (const PointId p : cell.points) num_members += is_core(p) ? 1 : 0;
+    CellBlock& out = f.NewCell(c, num_members);
+    for (size_t i = 0; i < cell.points.size(); ++i) {
+      const PointId p = cell.points[i];
+      if (!is_core(p)) continue;
+      if (out.rep == kInvalidPoint) out.rep = p;
+      const double* coords = cell.coords.data() + i * dim;
+      out.members.insert(out.members.end(), coords, coords + dim);
+    }
+  }
+  f.Relink();
+
+  GridSnapshot& snap = f.snapshot();
+  for (size_t c = 0; c < snap.cells_.size(); ++c) {
+    const CellBlock& b = *snap.cells_[c];
+    if (b.num_members > 0) {
+      DDC_DCHECK(b.rep != kInvalidPoint);  // `prev` was not built here.
+      snap.labels_[c] = cell_label(static_cast<CellId>(c), b.rep);
+    }
+  }
+  return f.Finish(dirty);
+}
 
 /// Publication slot for a shared_ptr: Store swaps the pointer in, Load
 /// hands a reference-counted copy out, from any thread. The pointer copy
@@ -211,11 +391,12 @@ class SharedPtrSlot {
   std::shared_ptr<T> ptr_;
 };
 
-/// The publication slot of a clusterer's snapshot: a swapped shared_ptr
-/// plus a relaxed update counter. The update path pays one relaxed
-/// fetch_add (invalidation is implicit — a cached snapshot whose epoch
-/// trails the version is stale); the snapshot slot itself is only written
-/// by the owning thread's GetOrBuild and read by anyone.
+/// The publication slot of a grid clusterer's snapshot: a swapped
+/// shared_ptr, a relaxed update counter, and the dirty bits the next freeze
+/// rebuilds from. The update path pays one relaxed fetch_add plus a bit-set
+/// or two per update (invalidation is implicit — a cached snapshot whose
+/// epoch trails the version is stale); the snapshot slot itself is only
+/// written by the owning thread's GetOrBuild and read by anyone.
 class SnapshotCache {
  public:
   /// Called once per applied update (any thread).
@@ -225,16 +406,27 @@ class SnapshotCache {
     return version_.load(std::memory_order_relaxed);
   }
 
-  /// The cached snapshot when it is current, else `build(version)` —
-  /// published into the slot before returning. Owning thread only, with the
-  /// structures quiescent.
-  template <typename BuildFn>
-  std::shared_ptr<const ClusterSnapshot> GetOrBuild(BuildFn&& build) {
+  /// Point `p` was inserted or deleted (owning thread).
+  void MarkPoint(PointId p) { dirty_.MarkPoint(p); }
+
+  /// Point `p` of `cell` was promoted to core or demoted (owning thread).
+  void MarkCoreChange(PointId p, CellId cell) {
+    dirty_.MarkPoint(p);
+    dirty_.MarkCell(cell);
+  }
+
+  /// The cached snapshot when it is current, else a GridSnapshot::Build of
+  /// `grid` over the cached one — published into the slot before returning.
+  /// Owning thread only, with the structures quiescent.
+  template <typename IsCore, typename CellLabel>
+  std::shared_ptr<const ClusterSnapshot> GetOrBuild(
+      const Grid& grid, const IsCore& is_core, const CellLabel& cell_label,
+      const DbscanParams& params) {
     const uint64_t v = version();
-    std::shared_ptr<const ClusterSnapshot> cached = cached_.Load();
+    std::shared_ptr<const GridSnapshot> cached = cached_.Load();
     if (cached != nullptr && cached->epoch() == v) return cached;
-    std::shared_ptr<const ClusterSnapshot> fresh = build(v);
-    DDC_DCHECK(fresh != nullptr);
+    std::shared_ptr<const GridSnapshot> fresh = GridSnapshot::Build(
+        grid, is_core, cell_label, params, v, cached.get(), &dirty_);
     cached_.Store(fresh);
     return fresh;
   }
@@ -246,7 +438,8 @@ class SnapshotCache {
 
  private:
   std::atomic<uint64_t> version_{0};
-  SharedPtrSlot<const ClusterSnapshot> cached_;
+  SnapshotDirtySet dirty_;
+  SharedPtrSlot<const GridSnapshot> cached_;
 };
 
 }  // namespace ddc

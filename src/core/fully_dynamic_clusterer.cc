@@ -47,6 +47,7 @@ PointId FullyDynamicClusterer::Insert(const Point& p) {
     cc_->EnsureVertices(grid_.num_cells());
   }
   counter_.OnInsert(ins.id, ins.cell);
+  snapshot_cache_.MarkPoint(ins.id);
   tracker_.OnInsert(ins.id, ins.cell,
                     [this](PointId q, CellId c) { OnCorePromoted(q, c); });
   snapshot_cache_.BumpVersion();
@@ -63,6 +64,7 @@ void FullyDynamicClusterer::Delete(PointId id) {
     OnCoreDemoted(id, cell);
   }
   grid_.Delete(id);
+  snapshot_cache_.MarkPoint(id);
   counter_.OnDelete(id, cell);
   // Remaining points may demote now that the counts dropped.
   tracker_.OnDelete(id, cell,
@@ -105,6 +107,7 @@ void FullyDynamicClusterer::DestroyInstance(CellId a, CellId b,
 
 void FullyDynamicClusterer::OnCorePromoted(PointId p, CellId cell) {
   DDC_COUNTER_INC("core.promotions");
+  snapshot_cache_.MarkCoreChange(p, cell);
   if (core_observer_) core_observer_(p, true);
   CellCoreState& s = State(cell);
   const bool was_core_cell = s.is_core_cell();
@@ -135,6 +138,7 @@ void FullyDynamicClusterer::OnCorePromoted(PointId p, CellId cell) {
 
 void FullyDynamicClusterer::OnCoreDemoted(PointId p, CellId cell) {
   DDC_COUNTER_INC("core.demotions");
+  snapshot_cache_.MarkCoreChange(p, cell);
   if (core_observer_) core_observer_(p, false);
   CellCoreState& s = State(cell);
   s.core_set->Remove(p);
@@ -162,15 +166,10 @@ void FullyDynamicClusterer::OnCoreDemoted(PointId p, CellId cell) {
 }
 
 std::shared_ptr<const ClusterSnapshot> FullyDynamicClusterer::Snapshot() {
-  return snapshot_cache_.GetOrBuild([this](uint64_t epoch) {
-    GridSnapshot::Sources sources;
-    sources.grid = &grid_;
-    sources.is_core = [this](PointId p) { return tracker_.is_core(p); };
-    sources.cell_label = [this](CellId c, PointId) {
-      return cc_->ComponentIdReadOnly(c);
-    };
-    return GridSnapshot::Build(sources, params_.eps_outer(), epoch);
-  });
+  return snapshot_cache_.GetOrBuild(
+      grid_, [this](PointId p) { return tracker_.is_core(p); },
+      [this](CellId c, PointId) { return cc_->ComponentIdReadOnly(c); },
+      params_);
 }
 
 uint64_t FullyDynamicClusterer::CoreLabelOf(PointId p) {

@@ -53,6 +53,7 @@ PointId IncrementalDbscan::Insert(const Point& p) {
   const Grid::InsertResult ins = grid_.Insert(p);
   neighbor_count_.push_back(0);
   cluster_id_.push_back(-1);
+  snapshot_cache_.MarkPoint(ins.id);
 
   // Seed retrieval: one range query, exactly as in [8].
   const std::vector<PointId> seeds = RangeQuery(p);
@@ -70,6 +71,7 @@ PointId IncrementalDbscan::Insert(const Point& p) {
   // new core and merge with every surrounding core's cluster. Each new core
   // costs one more range query (IncDBSCAN's UpdSeed retrieval).
   for (const PointId q : new_cores) {
+    snapshot_cache_.MarkCoreChange(q, grid_.cell_of(q));
     const std::vector<PointId> around =
         (q == ins.id) ? seeds : RangeQuery(grid_.point(q));
     LabelNewCore(q, around);
@@ -86,7 +88,14 @@ void IncrementalDbscan::Delete(PointId id) {
   // Decrement counts; demoted cores keep their stale cluster_id_ for a
   // moment — that is how they are recognized below.
   for (const PointId q : seeds) {
-    if (q != id) --neighbor_count_[q];
+    if (q != id && --neighbor_count_[q] == params_.min_pts - 1) {
+      snapshot_cache_.MarkCoreChange(q, grid_.cell_of(q));
+    }
+  }
+  if (is_core(id)) {
+    snapshot_cache_.MarkCoreChange(id, grid_.cell_of(id));
+  } else {
+    snapshot_cache_.MarkPoint(id);
   }
   grid_.Delete(id);
   neighbor_count_[id] = 0;
@@ -204,17 +213,14 @@ std::shared_ptr<const ClusterSnapshot> IncrementalDbscan::Snapshot() {
   // formulation is equivalent because any two core points sharing a cell
   // (side ε/√d) are within ε of each other and hence share a cluster in
   // exact DBSCAN — one label per cell covers all of its core members.
-  return snapshot_cache_.GetOrBuild([this](uint64_t epoch) {
-    GridSnapshot::Sources sources;
-    sources.grid = &grid_;
-    sources.is_core = [this](PointId p) { return is_core(p); };
-    sources.cell_label = [this](CellId, PointId first_core) {
-      DDC_DCHECK(cluster_id_[first_core] >= 0);
-      return static_cast<uint64_t>(
-          merge_history_.FindReadOnly(cluster_id_[first_core]));
-    };
-    return GridSnapshot::Build(sources, params_.eps, epoch);
-  });
+  return snapshot_cache_.GetOrBuild(
+      grid_, [this](PointId p) { return is_core(p); },
+      [this](CellId, PointId member) {
+        DDC_DCHECK(cluster_id_[member] >= 0);
+        return static_cast<uint64_t>(
+            merge_history_.FindReadOnly(cluster_id_[member]));
+      },
+      params_);
 }
 
 std::vector<PointId> IncrementalDbscan::AlivePoints() const {

@@ -34,6 +34,7 @@ EmptinessStructure* SemiDynamicClusterer::CoreSet(CellId c) {
 PointId SemiDynamicClusterer::Insert(const Point& p) {
   const Grid::InsertResult ins = grid_.Insert(p);
   uf_.EnsureSize(grid_.num_cells());
+  snapshot_cache_.MarkPoint(ins.id);
   tracker_.OnInsert(ins.id, ins.cell,
                     [this](PointId q, CellId c) { OnNewCore(q, c); });
   snapshot_cache_.BumpVersion();
@@ -45,6 +46,7 @@ void SemiDynamicClusterer::Delete(PointId /*id*/) {
 }
 
 void SemiDynamicClusterer::OnNewCore(PointId p, CellId cell) {
+  snapshot_cache_.MarkCoreChange(p, cell);
   CoreSet(cell)->Insert(p);
   const Point& pt = grid_.point(p);
   // GUM: try to materialize an edge to every ε-close core cell that has no
@@ -64,15 +66,12 @@ void SemiDynamicClusterer::OnNewCore(PointId p, CellId cell) {
 }
 
 std::shared_ptr<const ClusterSnapshot> SemiDynamicClusterer::Snapshot() {
-  return snapshot_cache_.GetOrBuild([this](uint64_t epoch) {
-    GridSnapshot::Sources sources;
-    sources.grid = &grid_;
-    sources.is_core = [this](PointId p) { return tracker_.is_core(p); };
-    sources.cell_label = [this](CellId c, PointId) {
-      return static_cast<uint64_t>(uf_.FindReadOnly(c));
-    };
-    return GridSnapshot::Build(sources, params_.eps_outer(), epoch);
-  });
+  return snapshot_cache_.GetOrBuild(
+      grid_, [this](PointId p) { return tracker_.is_core(p); },
+      [this](CellId c, PointId) {
+        return static_cast<uint64_t>(uf_.FindReadOnly(c));
+      },
+      params_);
 }
 
 std::vector<PointId> SemiDynamicClusterer::AlivePoints() const {

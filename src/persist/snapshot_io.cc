@@ -63,7 +63,11 @@ void AppendF64s(std::string& out, const double* v, size_t n) {
   }
 }
 
+// Both readers return early on an empty section: the destination is then
+// an empty vector's data(), which may be null, and memcpy forbids null even
+// for zero bytes.
 void ReadI32s(const unsigned char* p, size_t n, int32_t* out) {
+  if (n == 0) return;
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(out, p, n * 4);
   } else {
@@ -74,6 +78,7 @@ void ReadI32s(const unsigned char* p, size_t n, int32_t* out) {
 }
 
 void ReadF64s(const unsigned char* p, size_t n, double* out) {
+  if (n == 0) return;
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(out, p, n * 8);
   } else {
@@ -246,61 +251,68 @@ class SnapshotIO {
     j.Key("epoch").Int(static_cast<int64_t>(g.epoch()));
     j.Key("alive").Int(g.alive_);
     j.Key("eps_outer_sq_bits").String(HexBits(g.eps_outer_sq_));
-    j.Key("num_points").Int(static_cast<int64_t>(g.cell_of_.size()));
+    j.Key("num_points").Int(g.num_points_);
     j.Key("num_cells").Int(static_cast<int64_t>(g.cells_.size()));
     j.EndObject();
   }
 
+  /// The sections are flat arrays: per point up to the id count, then per
+  /// cell in id order, each cell's core members and core neighbors at
+  /// running offsets. The blocks are flattened into exactly that layout.
   static void GridSections(SectionBuilder& b, const std::string& prefix,
                            const GridSnapshot& g) {
+    const size_t dim = static_cast<size_t>(g.dim_);
+    const size_t num_points = static_cast<size_t>(g.num_points_);
     {
-      std::string s;
-      AppendI32s(s, g.cell_of_.data(), g.cell_of_.size());
-      b.Add(prefix + "cell_of", std::move(s));
-    }
-    b.Add(prefix + "point_core",
-          std::string(reinterpret_cast<const char*>(g.point_core_.data()),
-                      g.point_core_.size()));
-    {
-      std::string s;
-      AppendF64s(s, g.point_coords_.data(), g.point_coords_.size());
-      b.Add(prefix + "point_coords", std::move(s));
-    }
-    {
-      // CellRec: u64 label + 4x i32, 24 bytes, explicitly composed (never
-      // memcpy'd as a struct — padding and field order stay nailed down).
-      std::string s;
-      s.reserve(g.cells_.size() * 24);
-      for (const auto& c : g.cells_) {
-        AppendLe64(s, c.label);
-        AppendLe32(s, static_cast<uint32_t>(c.members_begin));
-        AppendLe32(s, static_cast<uint32_t>(c.members_end));
-        AppendLe32(s, static_cast<uint32_t>(c.nbr_begin));
-        AppendLe32(s, static_cast<uint32_t>(c.nbr_end));
+      std::string cell_of, point_core, point_coords;
+      cell_of.reserve(num_points * 4);
+      point_core.reserve(num_points);
+      point_coords.reserve(num_points * dim * 8);
+      for (size_t pg = 0; pg < g.pages_.size(); ++pg) {
+        const GridSnapshot::PointPage& page = *g.pages_[pg];
+        const size_t first = pg * GridSnapshot::kPageSize;
+        const size_t n = std::min<size_t>(GridSnapshot::kPageSize,
+                                          num_points - first);
+        AppendI32s(cell_of, page.cell, n);
+        point_core.append(reinterpret_cast<const char*>(page.core), n);
+        AppendF64s(point_coords, page.coords.data(), n * dim);
       }
-      b.Add(prefix + "cells", std::move(s));
+      b.Add(prefix + "cell_of", std::move(cell_of));
+      b.Add(prefix + "point_core", std::move(point_core));
+      b.Add(prefix + "point_coords", std::move(point_coords));
     }
-    {
-      // Box: lo then hi, all kMaxDim coordinates (padding included — the
-      // round trip is bit-exact by construction).
-      std::string s;
-      s.reserve(g.cell_boxes_.size() * 2 * kMaxDim * 8);
-      for (const Box& box : g.cell_boxes_) {
-        AppendF64s(s, box.lo().data(), kMaxDim);
-        AppendF64s(s, box.hi().data(), kMaxDim);
-      }
-      b.Add(prefix + "cell_boxes", std::move(s));
+    // CellRec: u64 label + i32 members_begin/end + i32 nbr_begin/end, 24
+    // bytes, explicitly composed (never memcpy'd as a struct — padding and
+    // field order stay nailed down). Box: lo then hi, all kMaxDim
+    // coordinates (padding included — the round trip is bit-exact by
+    // construction).
+    std::string cells, boxes, members, neighbors;
+    cells.reserve(g.cells_.size() * 24);
+    boxes.reserve(g.cells_.size() * 2 * kMaxDim * 8);
+    int32_t members_end = 0;
+    int32_t nbr_end = 0;
+    for (size_t c = 0; c < g.cells_.size(); ++c) {
+      const GridSnapshot::CellBlock& block = *g.cells_[c];
+      const int32_t num_nbrs =
+          static_cast<int32_t>(block.core_neighbors.size());
+      AppendLe64(cells, g.labels_[c]);
+      AppendLe32(cells, static_cast<uint32_t>(members_end));
+      AppendLe32(cells,
+                 static_cast<uint32_t>(members_end + block.num_members));
+      AppendLe32(cells, static_cast<uint32_t>(nbr_end));
+      AppendLe32(cells, static_cast<uint32_t>(nbr_end + num_nbrs));
+      members_end += block.num_members;
+      nbr_end += num_nbrs;
+      AppendF64s(boxes, block.box.lo().data(), kMaxDim);
+      AppendF64s(boxes, block.box.hi().data(), kMaxDim);
+      AppendF64s(members, block.members.data(), block.members.size());
+      AppendI32s(neighbors, block.core_neighbors.data(),
+                 block.core_neighbors.size());
     }
-    {
-      std::string s;
-      AppendF64s(s, g.member_coords_.data(), g.member_coords_.size());
-      b.Add(prefix + "member_coords", std::move(s));
-    }
-    {
-      std::string s;
-      AppendI32s(s, g.core_neighbors_.data(), g.core_neighbors_.size());
-      b.Add(prefix + "core_neighbors", std::move(s));
-    }
+    b.Add(prefix + "cells", std::move(cells));
+    b.Add(prefix + "cell_boxes", std::move(boxes));
+    b.Add(prefix + "member_coords", std::move(members));
+    b.Add(prefix + "core_neighbors", std::move(neighbors));
   }
 
   static void SaveGrid(JsonWriter& j, SectionBuilder& b,
@@ -405,12 +417,6 @@ class SnapshotIO {
       return nullptr;
     }
 
-    std::shared_ptr<GridSnapshot> g(
-        new GridSnapshot(static_cast<uint64_t>(epoch)));
-    g->dim_ = static_cast<int>(dim);
-    g->eps_outer_sq_ = eps_outer_sq;
-    g->alive_ = alive;
-
     auto section = [&](const char* name,
                        size_t elem_bytes) -> std::optional<std::string_view> {
       std::optional<std::string_view> payload =
@@ -436,38 +442,51 @@ class SnapshotIO {
                std::to_string(count);
       return false;
     };
+    auto bytes = [](std::string_view payload) {
+      return reinterpret_cast<const unsigned char*>(payload.data());
+    };
 
-    const unsigned char* p = nullptr;
+    // Read the flat sections first (sized only once their lengths match the
+    // manifest), then page them into blocks.
+    std::vector<int32_t> cell_of;
+    std::string_view point_core;
+    std::vector<double> point_coords;
     {
       auto s = section("cell_of", 4);
       if (!s || !expect_count("cell_of", *s, 4, num_points)) return nullptr;
-      g->cell_of_.resize(static_cast<size_t>(num_points));
-      p = reinterpret_cast<const unsigned char*>(s->data());
-      ReadI32s(p, g->cell_of_.size(), g->cell_of_.data());
+      cell_of.resize(static_cast<size_t>(num_points));
+      ReadI32s(bytes(*s), cell_of.size(), cell_of.data());
     }
     {
       auto s = section("point_core", 1);
       if (!s || !expect_count("point_core", *s, 1, num_points)) {
         return nullptr;
       }
-      g->point_core_.assign(s->begin(), s->end());
+      point_core = *s;
     }
     {
       auto s = section("point_coords", 8);
       if (!s || !expect_count("point_coords", *s, 8, num_points * dim)) {
         return nullptr;
       }
-      g->point_coords_.resize(static_cast<size_t>(num_points * dim));
-      p = reinterpret_cast<const unsigned char*>(s->data());
-      ReadF64s(p, g->point_coords_.size(), g->point_coords_.data());
+      point_coords.resize(static_cast<size_t>(num_points * dim));
+      ReadF64s(bytes(*s), point_coords.size(), point_coords.data());
     }
+    struct CellRec {
+      uint64_t label = 0;
+      int32_t members_begin = 0;
+      int32_t members_end = 0;
+      int32_t nbr_begin = 0;
+      int32_t nbr_end = 0;
+    };
+    std::vector<CellRec> recs;
     {
       auto s = section("cells", 24);
       if (!s || !expect_count("cells", *s, 24, num_cells)) return nullptr;
-      g->cells_.resize(static_cast<size_t>(num_cells));
-      p = reinterpret_cast<const unsigned char*>(s->data());
-      for (size_t i = 0; i < g->cells_.size(); ++i) {
-        auto& c = g->cells_[i];
+      recs.resize(static_cast<size_t>(num_cells));
+      const unsigned char* p = bytes(*s);
+      for (size_t i = 0; i < recs.size(); ++i) {
+        CellRec& c = recs[i];
         c.label = ReadLe64(p + i * 24);
         c.members_begin = static_cast<int32_t>(ReadLe32(p + i * 24 + 8));
         c.members_end = static_cast<int32_t>(ReadLe32(p + i * 24 + 12));
@@ -475,22 +494,15 @@ class SnapshotIO {
         c.nbr_end = static_cast<int32_t>(ReadLe32(p + i * 24 + 20));
       }
     }
+    std::string_view boxes;
     {
       auto s = section("cell_boxes", 2 * kMaxDim * 8);
       if (!s || !expect_count("cell_boxes", *s, 2 * kMaxDim * 8, num_cells)) {
         return nullptr;
       }
-      g->cell_boxes_.resize(static_cast<size_t>(num_cells));
-      p = reinterpret_cast<const unsigned char*>(s->data());
-      for (size_t i = 0; i < g->cell_boxes_.size(); ++i) {
-        Point lo, hi;
-        for (int k = 0; k < kMaxDim; ++k) {
-          lo[k] = ReadLeDouble(p + (i * 2 * kMaxDim + k) * 8);
-          hi[k] = ReadLeDouble(p + (i * 2 * kMaxDim + kMaxDim + k) * 8);
-        }
-        g->cell_boxes_[i] = Box(lo, hi);
-      }
+      boxes = *s;
     }
+    std::vector<double> member_coords;
     {
       auto s = section("member_coords", 8);
       if (!s) return nullptr;
@@ -500,26 +512,25 @@ class SnapshotIO {
                  " rows";
         return nullptr;
       }
-      g->member_coords_.resize(s->size() / 8);
-      p = reinterpret_cast<const unsigned char*>(s->data());
-      ReadF64s(p, g->member_coords_.size(), g->member_coords_.data());
+      member_coords.resize(s->size() / 8);
+      ReadF64s(bytes(*s), member_coords.size(), member_coords.data());
     }
+    std::vector<int32_t> core_neighbors;
     {
       auto s = section("core_neighbors", 4);
       if (!s) return nullptr;
-      g->core_neighbors_.resize(s->size() / 4);
-      p = reinterpret_cast<const unsigned char*>(s->data());
-      ReadI32s(p, g->core_neighbors_.size(), g->core_neighbors_.data());
+      core_neighbors.resize(s->size() / 4);
+      ReadI32s(bytes(*s), core_neighbors.size(), core_neighbors.data());
     }
 
     // Structural sanity: every cell's ranges must lie inside the arrays
-    // they index (the CRC already vouches for integrity; this guards
-    // against a manifest/section mismatch assembled from mixed files).
+    // they index, and every cell id must name a cell (the CRC already
+    // vouches for integrity; this guards against a manifest/section
+    // mismatch assembled from mixed files).
     const int32_t num_members =
-        static_cast<int32_t>(g->member_coords_.size() /
-                             static_cast<size_t>(dim));
-    const int32_t num_nbrs = static_cast<int32_t>(g->core_neighbors_.size());
-    for (const auto& c : g->cells_) {
+        static_cast<int32_t>(member_coords.size() / static_cast<size_t>(dim));
+    const int32_t num_nbrs = static_cast<int32_t>(core_neighbors.size());
+    for (const CellRec& c : recs) {
       if (c.members_begin < 0 || c.members_begin > c.members_end ||
           c.members_end > num_members || c.nbr_begin < 0 ||
           c.nbr_begin > c.nbr_end || c.nbr_end > num_nbrs) {
@@ -529,13 +540,58 @@ class SnapshotIO {
         return nullptr;
       }
     }
-    for (const int32_t c : g->cell_of_) {
-      if (c < -1 || c >= static_cast<int32_t>(g->cells_.size())) {
+    for (const int32_t c : cell_of) {
+      if (c < -1 || c >= static_cast<int32_t>(num_cells)) {
         *error = "snapshot " + path + " (" + prefix +
                  "cell_of) references cell " + std::to_string(c) +
                  " outside the cell table";
         return nullptr;
       }
+    }
+    for (const int32_t c : core_neighbors) {
+      if (c < 0 || c >= static_cast<int32_t>(num_cells)) {
+        *error = "snapshot " + path + " (" + prefix +
+                 "core_neighbors) references cell " + std::to_string(c) +
+                 " outside the cell table";
+        return nullptr;
+      }
+    }
+
+    std::shared_ptr<GridSnapshot> g(
+        new GridSnapshot(static_cast<uint64_t>(epoch)));
+    g->dim_ = static_cast<int>(dim);
+    g->eps_outer_sq_ = eps_outer_sq;
+    g->alive_ = alive;
+    g->num_points_ = num_points;
+    constexpr int64_t kPageSize = GridSnapshot::kPageSize;
+    const size_t row = static_cast<size_t>(dim);
+    for (int64_t first = 0; first < num_points; first += kPageSize) {
+      auto page = std::make_shared<GridSnapshot::PointPage>(g->dim_);
+      const int64_t n = std::min(kPageSize, num_points - first);
+      std::copy_n(cell_of.begin() + first, n, page->cell);
+      std::copy_n(point_core.begin() + first, n, page->core);
+      std::copy_n(point_coords.begin() + first * dim, n * dim,
+                  page->coords.begin());
+      g->pages_.push_back(std::move(page));
+    }
+    const unsigned char* box_bytes = bytes(boxes);
+    g->labels_.resize(recs.size());
+    for (size_t i = 0; i < recs.size(); ++i) {
+      const CellRec& c = recs[i];
+      auto block = std::make_shared<GridSnapshot::CellBlock>();
+      Point lo, hi;
+      for (int k = 0; k < kMaxDim; ++k) {
+        lo[k] = ReadLeDouble(box_bytes + (i * 2 * kMaxDim + k) * 8);
+        hi[k] = ReadLeDouble(box_bytes + (i * 2 * kMaxDim + kMaxDim + k) * 8);
+      }
+      block->box = Box(lo, hi);
+      block->num_members = c.members_end - c.members_begin;
+      block->members.assign(member_coords.begin() + c.members_begin * row,
+                            member_coords.begin() + c.members_end * row);
+      block->core_neighbors.assign(core_neighbors.begin() + c.nbr_begin,
+                                   core_neighbors.begin() + c.nbr_end);
+      g->labels_[i] = c.label;
+      g->cells_.push_back(std::move(block));
     }
     return g;
   }

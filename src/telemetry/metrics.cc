@@ -74,18 +74,21 @@ HistogramData Metric::HistogramValue() const {
   std::vector<int64_t> buckets(LatencyHistogram::kNumBuckets, 0);
   for (int c = 0; c < kHistCells; ++c) {
     const HistCell& cell = hist_cells_[c];
-    const int64_t n = cell.count.load(std::memory_order_relaxed);
-    if (n == 0) continue;
+    if (cell.count.load(std::memory_order_relaxed) == 0) continue;
     const int64_t lo = cell.min_ns.load(std::memory_order_relaxed);
     const int64_t hi = cell.max_ns.load(std::memory_order_relaxed);
     if (out.count == 0 || lo < out.min_ns) out.min_ns = lo;
     if (out.count == 0 || hi > out.max_ns) out.max_ns = hi;
-    out.count += n;
     out.sum_ns += cell.sum_ns.load(std::memory_order_relaxed);
+    // The count is the sum of the buckets as read, not the cell's count
+    // field: a Record racing this merge can land between the two reads,
+    // and the count (Prometheus' +Inf bucket) must bound every cumulative
+    // bucket.
     for (int i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
       const int64_t b = cell.buckets[i].load(std::memory_order_relaxed);
       if (b == 0) continue;
       buckets[i] += b;
+      out.count += b;
       if (i > last_nonzero) last_nonzero = i;
     }
   }

@@ -10,6 +10,7 @@
 #include "common/crc32.h"
 #include "common/io.h"
 #include "core/clusterer.h"
+#include "core/fully_dynamic_clusterer.h"
 #include "core/method_registry.h"
 #include "persist/snapshot_io.h"
 #include "tests/test_util.h"
@@ -149,6 +150,67 @@ TEST(SnapshotIoTest, ParamsRoundTripBitExactly) {
             std::bit_cast<uint64_t>(params.rho));
   EXPECT_EQ(meta.params.dim, 3);
   EXPECT_EQ(meta.params.min_pts, 4);
+}
+
+/// Saves `snap` to `path` and returns the file's bytes.
+std::string SaveAndRead(const ClusterSnapshot& snap, const DbscanParams& params,
+                        const std::string& path) {
+  std::string error, bytes;
+  EXPECT_TRUE(SaveSnapshot(snap, params, 7, path, &error)) << error;
+  EXPECT_TRUE(ReadFileToString(path, &bytes, &error)) << error;
+  return bytes;
+}
+
+/// The on-disk format does not depend on the in-memory layout: a fixed
+/// clusterer's snapshot file keeps its exact bytes. BFS connectivity keeps
+/// the CC labels (which the file stores) free of heap addresses.
+TEST(SnapshotIoTest, FileBytesArePinned) {
+  const DbscanParams params{.dim = 2, .eps = 2.0, .min_pts = 5, .rho = 0.001};
+  FullyDynamicClusterer::Options options;
+  options.connectivity = ConnectivityKind::kBfs;
+  FullyDynamicClusterer c(params, options);
+  Rng rng(11);
+  std::vector<PointId> ids;
+  for (const Point& p : BlobPoints(rng, 400, 2, 100.0, 4, 2.5)) {
+    ids.push_back(c.Insert(p));
+  }
+  for (size_t i = 0; i < ids.size(); i += 7) c.Delete(ids[i]);
+  const std::string bytes = SaveAndRead(
+      *c.Snapshot(), params, TempDir("pinned") + "/" + SnapshotFileName(7));
+  EXPECT_EQ(bytes.size(), 30615u);
+  EXPECT_EQ(Crc32(bytes), 1035873938u);
+}
+
+/// Loading pages the flat sections back into blocks; saving the loaded
+/// snapshot must reproduce the file byte for byte — for a first freeze and
+/// for one frozen over earlier snapshots (whose clean blocks are shared).
+TEST(SnapshotIoTest, ResavingALoadedSnapshotIsByteIdentical) {
+  const DbscanParams params{.dim = 3, .eps = 2.0, .min_pts = 5, .rho = 0.001};
+  std::unique_ptr<Clusterer> c = MakeMethod("double-approx", params);
+  Rng rng(5);
+  std::vector<PointId> alive;
+  PointId max_id = 0;
+  const std::string dir = TempDir("resave");
+  for (int round = 0; round < 4; ++round) {
+    for (const Point& p : BlobPoints(rng, 150, 3, 60.0, 3, 3.0)) {
+      alive.push_back(c->Insert(p));
+      max_id = alive.back() + 1;
+    }
+    for (size_t i = 0; i < alive.size(); i += 4) {
+      c->Delete(alive[i]);
+      alive[i] = alive.back();
+      alive.pop_back();
+    }
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::shared_ptr<const ClusterSnapshot> snap = c->Snapshot();
+    const std::string first = SaveAndRead(*snap, params, dir + "/a.snap");
+    std::string error;
+    std::shared_ptr<const ClusterSnapshot> loaded =
+        LoadSnapshot(dir + "/a.snap", nullptr, &error);
+    ASSERT_NE(loaded, nullptr) << error;
+    EXPECT_EQ(SaveAndRead(*loaded, params, dir + "/b.snap"), first);
+    ExpectBitIdentical(*snap, *loaded, max_id, 3);
+  }
 }
 
 /// Writes a small valid snapshot and returns its path.
