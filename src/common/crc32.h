@@ -8,7 +8,7 @@
 namespace ddc {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the checksum the
-/// durability layer stamps on every WAL record and snapshot section. The
+/// durability layer stamps on every WAL segment header and record. The
 /// implementation is the classic 8-entries-per-byte table walk: not the
 /// fastest possible, but the checksummed paths are checkpoint/recovery
 /// code, never the per-operation hot path.

@@ -13,7 +13,7 @@ namespace ddc {
 
 /// \file
 /// Error-checked file I/O for everything this repo persists: BENCH
-/// documents, metrics/trace dumps, the write-ahead log and snapshot files.
+/// documents, metrics/trace dumps, RUNMETA and the write-ahead log.
 /// The std::ofstream idiom the early writers used reports nothing on short
 /// writes and swallows ENOSPC until close; these helpers capture errno at
 /// the failing call and latch it, so a caller that checks once at the end
@@ -117,9 +117,9 @@ bool WriteFileAtomic(const std::string& path, std::string_view contents,
 bool ReadFileToString(const std::string& path, std::string* out,
                       std::string* error = nullptr);
 
-/// Little-endian integer append/read helpers shared by the WAL record
-/// format and the snapshot blobs: explicit byte composition, so the on-disk
-/// format is identical on any host endianness.
+/// Little-endian integer append/read helpers of the WAL record format:
+/// explicit byte composition, so the on-disk format is identical on any
+/// host endianness.
 inline void AppendLe32(std::string& out, uint32_t v) {
   out.push_back(static_cast<char>(v & 0xFF));
   out.push_back(static_cast<char>((v >> 8) & 0xFF));

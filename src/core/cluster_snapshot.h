@@ -197,10 +197,6 @@ class GridSnapshot final : public ClusterSnapshot {
   }
 
  private:
-  /// The persistence layer (persist/snapshot_io.cc) flattens the blocks
-  /// into the on-disk sections on save and pages them back on load.
-  friend class SnapshotIO;
-
   /// Frozen state of ids [page * kPageSize, (page + 1) * kPageSize); a new
   /// page has every id dead and all coordinates zero.
   struct PointPage {
@@ -220,7 +216,7 @@ class GridSnapshot final : public ClusterSnapshot {
   struct CellBlock {
     int32_t num_members = 0;
     /// First core member at freeze time: the point label lookups go
-    /// through. kInvalidPoint for a non-core cell or one loaded from disk.
+    /// through. kInvalidPoint for a non-core cell.
     PointId rep = kInvalidPoint;
     std::vector<double> members;  // Core members, dim doubles each.
     std::vector<CellId> core_neighbors;  // ε-close core cells.
@@ -353,7 +349,7 @@ std::shared_ptr<const GridSnapshot> GridSnapshot::Build(
   for (size_t c = 0; c < snap.cells_.size(); ++c) {
     const CellBlock& b = *snap.cells_[c];
     if (b.num_members > 0) {
-      DDC_DCHECK(b.rep != kInvalidPoint);  // `prev` was not built here.
+      DDC_DCHECK(b.rep != kInvalidPoint);
       snap.labels_[c] = cell_label(static_cast<CellId>(c), b.rep);
     }
   }

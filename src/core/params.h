@@ -26,7 +26,12 @@ struct DbscanParams {
   /// Radius of the outer ball (1+ρ)ε.
   double eps_outer() const { return eps * (1.0 + rho); }
 
-  /// Aborts if any parameter is out of range.
+  /// Empty when every parameter is in range; otherwise one line naming the
+  /// first out-of-range field. The one home of the range rules: Validate
+  /// aborts on it, and readers of stored params report it.
+  std::string RangeError() const;
+
+  /// Aborts, naming the field, if any parameter is out of range.
   void Validate() const;
 
   std::string ToString() const;

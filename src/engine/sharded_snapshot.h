@@ -56,10 +56,6 @@ class ShardedSnapshot final : public ClusterSnapshot {
   bool SameCluster(PointId a, PointId b) const;
 
  private:
-  /// Serialization (persist/snapshot_io.cc) reads the frozen parts out and
-  /// reconstructs through the public constructor.
-  friend class SnapshotIO;
-
   std::vector<GidRec> points_;
   int64_t alive_ = 0;
   std::vector<std::shared_ptr<const GridSnapshot>> shards_;

@@ -131,9 +131,6 @@ class BoundaryStitcher {
 
    private:
     friend class BoundaryStitcher;
-    /// Snapshot persistence (persist/snapshot_io.cc) serializes the frozen
-    /// table and rebuilds it entry for entry.
-    friend class SnapshotIO;
     FlatHashMap<LabelKey, int32_t, LabelKeyHash> index_;
     std::vector<int32_t> root_;
   };

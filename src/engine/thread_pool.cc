@@ -1,10 +1,21 @@
 #include "engine/thread_pool.h"
 
+#include <chrono>
 #include <utility>
 
 #include "common/check.h"
 
 namespace ddc {
+
+namespace {
+
+/// How long an idle worker polls its queue before it parks. Longer than the
+/// gap between two batches of a busy shard (tens of microseconds), much
+/// shorter than a Flush (milliseconds), after which one wake-up per worker
+/// restarts the hand-off.
+constexpr std::chrono::microseconds kSpin{100};
+
+}  // namespace
 
 ThreadPool::ThreadPool(int num_workers) {
   DDC_CHECK(num_workers >= 1);
@@ -36,13 +47,17 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::Submit(int worker, std::function<void()> task) {
   DDC_CHECK(worker >= 0 && worker < num_workers());
   Worker& w = *workers_[worker];
+  bool parked = false;
   {
     std::lock_guard<std::mutex> lock(w.mu);
     DDC_CHECK(!w.stop);
     w.queue.push_back(std::move(task));
     w.health.queue_depth.fetch_add(1, std::memory_order_relaxed);
+    parked = w.parked;
   }
-  w.wake.notify_one();
+  // A spinning worker finds the task by itself; only a parked one costs the
+  // submitter a wake-up.
+  if (parked) w.wake.notify_one();
 }
 
 void ThreadPool::Drain() {
@@ -55,7 +70,21 @@ void ThreadPool::Drain() {
 void ThreadPool::Run(Worker* w) {
   std::unique_lock<std::mutex> lock(w->mu);
   for (;;) {
-    w->wake.wait(lock, [&] { return !w->queue.empty() || w->stop; });
+    if (w->queue.empty() && !w->stop) {
+      // Poll without the lock first: nothing runs here, so queue_depth turns
+      // positive exactly when Submit queued a task. The wait below re-checks
+      // the queue under the lock, so a missed poll costs time, not a task.
+      lock.unlock();
+      const auto until = std::chrono::steady_clock::now() + kSpin;
+      while (w->health.queue_depth.load(std::memory_order_relaxed) == 0 &&
+             std::chrono::steady_clock::now() < until) {
+        std::this_thread::yield();
+      }
+      lock.lock();
+      w->parked = true;
+      w->wake.wait(lock, [&] { return !w->queue.empty() || w->stop; });
+      w->parked = false;
+    }
     if (w->queue.empty()) {
       // stop && drained: exit. Pending tasks always run before shutdown.
       return;

@@ -19,6 +19,13 @@ namespace ddc {
 /// in-order execution of its tasks. The sharded engine exploits this by
 /// pinning each shard to one worker: shard batches then apply in submission
 /// order even when several shards share a thread (threads < shards).
+///
+/// An idle worker spins, yielding, for a short while before it parks, and
+/// Submit signals only a parked worker, so a producer that submits faster
+/// than that (the engine's ingest thread) hands work over without a
+/// wake-up. A wake-up is a syscall, and when the scheduler runs the woken
+/// worker on the producer's CPU it preempts the producer too: tens of
+/// microseconds added to that Submit.
 class ThreadPool {
  public:
   /// Starts `num_workers` (>= 1) threads.
@@ -55,6 +62,7 @@ class ThreadPool {
     std::deque<std::function<void()>> queue;
     bool running = false;  // A task is executing right now.
     bool stop = false;     // Exit once the queue is empty.
+    bool parked = false;   // Blocked on `wake`: Submit must signal it.
     WorkerHealth health;   // queue_depth counts queued + running tasks.
     std::thread thread;
   };

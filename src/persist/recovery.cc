@@ -1,8 +1,12 @@
 #include "persist/recovery.h"
 
 #include <bit>
+#include <cerrno>
 #include <cinttypes>
+#include <climits>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <utility>
 
@@ -17,19 +21,56 @@ namespace {
 
 constexpr char kRunMetaName[] = "RUNMETA.json";
 
+/// Largest integer below which every integer is exactly a double: an older
+/// RUNMETA's numeric seed is trusted only under it.
+constexpr double kExactDoubleInts = 9007199254740992.0;  // 2^53
+
 std::string HexBits(double v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, std::bit_cast<uint64_t>(v));
   return buf;
 }
 
-bool ParseHexBits(const std::string& s, double* out) {
+bool ParseHexBits(const JsonValue* v, double* out) {
   uint64_t bits = 0;
+  if (v == nullptr || v->type != JsonValue::Type::kString) return false;
+  const std::string& s = v->string_value;
   if (s.rfind("0x", 0) != 0 ||
       std::sscanf(s.c_str() + 2, "%16" SCNx64, &bits) != 1) {
     return false;
   }
   *out = std::bit_cast<double>(bits);
+  return true;
+}
+
+/// The seed is written as a decimal string, so all 64 bits survive JSON's
+/// doubles. A numeric seed from an older RUNMETA is still read while a
+/// double holds it exactly.
+bool ParseSeed(const JsonValue* v, uint64_t* out) {
+  if (v == nullptr) return false;
+  if (v->type == JsonValue::Type::kNumber) {
+    const double d = v->number_value;
+    if (!(d >= 0 && d < kExactDoubleInts) || d != std::floor(d)) return false;
+    *out = static_cast<uint64_t>(d);
+    return true;
+  }
+  if (v->type != JsonValue::Type::kString) return false;
+  const std::string& s = v->string_value;
+  // strtoull skips blanks and negates a leading '-'; only digits pass.
+  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long seed = std::strtoull(s.c_str(), &end, 10);
+  if (errno == ERANGE || end != s.c_str() + s.size()) return false;
+  *out = seed;
+  return true;
+}
+
+bool ParseInt(const JsonValue* v, int* out) {
+  if (v == nullptr || v->type != JsonValue::Type::kNumber) return false;
+  const double d = v->number_value;
+  if (!(d >= INT_MIN && d <= INT_MAX) || d != std::floor(d)) return false;
+  *out = static_cast<int>(d);
   return true;
 }
 
@@ -41,7 +82,7 @@ bool WriteRunMeta(const std::string& dir, const RunMeta& meta,
   j.BeginObject();
   j.Key("method").String(meta.method);
   j.Key("scenario").String(meta.scenario);
-  j.Key("seed").Int(static_cast<int64_t>(meta.seed));
+  j.Key("seed").String(std::to_string(meta.seed));
   j.Key("params");
   j.BeginObject();
   j.Key("dim").Int(meta.params.dim);
@@ -66,36 +107,38 @@ bool ReadRunMeta(const std::string& dir, RunMeta* meta, std::string* error) {
     *error = "unparsable " + path + ": " + parse_error;
     return false;
   }
+  auto bad = [&](const char* field) {
+    *error = path + " has a missing or malformed \"" + field + "\" field";
+    return false;
+  };
   const JsonValue* method = doc->Find("method");
   const JsonValue* scenario = doc->Find("scenario");
-  const JsonValue* seed = doc->Find("seed");
   const JsonValue* params = doc->Find("params");
-  if (method == nullptr || method->type != JsonValue::Type::kString ||
-      scenario == nullptr || scenario->type != JsonValue::Type::kString ||
-      seed == nullptr || seed->type != JsonValue::Type::kNumber ||
-      params == nullptr || params->type != JsonValue::Type::kObject) {
-    *error = path + " is missing method/scenario/seed/params fields";
-    return false;
+  if (method == nullptr || method->type != JsonValue::Type::kString) {
+    return bad("method");
   }
-  const JsonValue* dim = params->Find("dim");
-  const JsonValue* min_pts = params->Find("min_pts");
-  const JsonValue* eps_bits = params->Find("eps_bits");
-  const JsonValue* rho_bits = params->Find("rho_bits");
-  if (dim == nullptr || dim->type != JsonValue::Type::kNumber ||
-      min_pts == nullptr || min_pts->type != JsonValue::Type::kNumber ||
-      eps_bits == nullptr || eps_bits->type != JsonValue::Type::kString ||
-      rho_bits == nullptr || rho_bits->type != JsonValue::Type::kString) {
-    *error = path + " has a malformed params object";
-    return false;
+  if (scenario == nullptr || scenario->type != JsonValue::Type::kString) {
+    return bad("scenario");
+  }
+  if (!ParseSeed(doc->Find("seed"), &meta->seed)) return bad("seed");
+  if (params == nullptr || params->type != JsonValue::Type::kObject) {
+    return bad("params");
+  }
+  if (!ParseInt(params->Find("dim"), &meta->params.dim)) return bad("dim");
+  if (!ParseInt(params->Find("min_pts"), &meta->params.min_pts)) {
+    return bad("min_pts");
+  }
+  if (!ParseHexBits(params->Find("eps_bits"), &meta->params.eps)) {
+    return bad("eps_bits");
+  }
+  if (!ParseHexBits(params->Find("rho_bits"), &meta->params.rho)) {
+    return bad("rho_bits");
   }
   meta->method = method->string_value;
   meta->scenario = scenario->string_value;
-  meta->seed = static_cast<uint64_t>(seed->number_value);
-  meta->params.dim = static_cast<int>(dim->number_value);
-  meta->params.min_pts = static_cast<int>(min_pts->number_value);
-  if (!ParseHexBits(eps_bits->string_value, &meta->params.eps) ||
-      !ParseHexBits(rho_bits->string_value, &meta->params.rho)) {
-    *error = path + " has malformed eps_bits/rho_bits";
+  const std::string range = meta->params.RangeError();
+  if (!range.empty()) {
+    *error = path + " has out-of-range params: " + range;
     return false;
   }
   return true;
@@ -103,15 +146,15 @@ bool ReadRunMeta(const std::string& dir, RunMeta* meta, std::string* error) {
 
 bool Recover(const std::string& dir, const RunMeta& meta,
              RecoveryResult* result, std::string* error) {
+  result->clusterer.reset();
+  result->ops.clear();
+  result->notes.clear();
   std::string why;
   if (!ValidateMethodSpec(meta.method, &why)) {
     *error = "cannot recover " + dir + ": RUNMETA names method \"" +
              meta.method + "\" this build rejects: " + why;
     return false;
   }
-  result->clusterer = MakeMethod(meta.method, meta.params);
-  result->ops.clear();
-  result->notes.clear();
 
   // Collect first, apply after: a hard replay error must not leave a
   // half-replayed clusterer in the result.
@@ -128,6 +171,8 @@ bool Recover(const std::string& dir, const RunMeta& meta,
         " (ops past this point were never acknowledged)");
   }
 
+  std::unique_ptr<Clusterer> clusterer = MakeMethod(meta.method, meta.params);
+  std::vector<uint8_t> alive;  // By id, at the op being replayed.
   for (const WalOp& op : result->ops) {
     if (op.type == WalOp::Type::kInsert) {
       if (op.dim != meta.params.dim) {
@@ -138,7 +183,7 @@ bool Recover(const std::string& dir, const RunMeta& meta,
                  ": log does not belong to this run";
         return false;
       }
-      const PointId got = result->clusterer->Insert(op.point);
+      const PointId got = clusterer->Insert(op.point);
       if (got != op.id) {
         *error = "replay divergence at wal seq " + std::to_string(op.seq) +
                  ": log says insert was assigned id " +
@@ -147,11 +192,25 @@ bool Recover(const std::string& dir, const RunMeta& meta,
                  "; the log was not produced by this method/params";
         return false;
       }
+      if (static_cast<size_t>(got) >= alive.size()) {
+        alive.resize(static_cast<size_t>(got) + 1, 0);
+      }
+      alive[got] = 1;
     } else {
-      result->clusterer->Delete(op.id);
+      if (op.id < 0 || static_cast<size_t>(op.id) >= alive.size() ||
+          alive[op.id] == 0) {
+        *error = "wal record seq " + std::to_string(op.seq) +
+                 " deletes id " + std::to_string(op.id) +
+                 ", which is not alive at that point of the replay: the"
+                 " log does not belong to this run";
+        return false;
+      }
+      clusterer->Delete(op.id);
+      alive[op.id] = 0;
     }
   }
-  result->clusterer->Flush();
+  clusterer->Flush();
+  result->clusterer = std::move(clusterer);
   DDC_COUNTER_ADD("persist.recovery_replayed_ops",
                   static_cast<int64_t>(result->ops.size()));
   DDC_COUNTER_INC("persist.recoveries");
@@ -159,27 +218,6 @@ bool Recover(const std::string& dir, const RunMeta& meta,
       "replayed " + std::to_string(result->ops.size()) + " ops from " +
       std::to_string(result->wal.segments) + " wal segment(s), last seq " +
       std::to_string(result->wal.last_seq));
-
-  // The snapshot side: best-effort, never fatal. A snapshot newer than the
-  // replayed log would mean the log lost acknowledged data — that *is*
-  // fatal, because the snapshot proves those ops were applied.
-  result->snapshot =
-      LoadNewestValidSnapshot(dir, &result->snapshot_meta, &result->notes);
-  if (result->snapshot != nullptr) {
-    if (result->snapshot_meta.last_seq > result->wal.last_seq) {
-      *error = "snapshot covers wal seq " +
-               std::to_string(result->snapshot_meta.last_seq) +
-               " but the log only replays to seq " +
-               std::to_string(result->wal.last_seq) +
-               ": wal lost acknowledged records";
-      return false;
-    }
-    result->notes.push_back(
-        "loaded snapshot " + SnapshotFileName(result->snapshot_meta.last_seq) +
-        " (" + result->snapshot_meta.kind + ", epoch " +
-        std::to_string(result->snapshot_meta.epoch) + ", covers seq " +
-        std::to_string(result->snapshot_meta.last_seq) + ")");
-  }
   return true;
 }
 

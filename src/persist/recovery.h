@@ -7,27 +7,25 @@
 
 #include "core/clusterer.h"
 #include "core/params.h"
-#include "persist/snapshot_io.h"
 #include "persist/wal.h"
 
 namespace ddc {
 
 /// \file
 /// Crash recovery: reassembling the pre-crash clustering from a durability
-/// directory (WAL segments + periodic snapshots + RUNMETA.json).
+/// directory (RUNMETA.json + WAL segments).
 ///
-/// Two artifacts come back, serving different callers:
-///   * a *fresh clusterer* with the full WAL replayed into it — the live
-///     structures (grids, CC forests, IncDBSCAN graphs) are not
-///     serializable, but every algorithm here is deterministic in its op
-///     stream and assigns ids monotonically, so replay reproduces the
-///     pre-crash clustering bit-identically and the writer can resume
-///     appending where the log ends;
-///   * the *newest valid snapshot*, loaded directly — the instant cold
-///     start for the query side, valid as of its recorded WAL seq.
+/// The live structures (grids, CC forests, IncDBSCAN graphs) are never
+/// written to disk. Every algorithm here is deterministic in its op stream
+/// and assigns ids monotonically, so replaying the whole log into a fresh
+/// clusterer of the logged method reproduces the pre-crash clustering
+/// bit-identically, and a writer could resume appending where the log ends.
 /// A torn record at the tail of the last segment is truncated (those ops
-/// were never acknowledged); corruption anywhere earlier is a hard error —
-/// recovery never skips over acknowledged data or accepts a bad CRC.
+/// were never acknowledged). Everything else is a hard error: corruption
+/// anywhere earlier, a log whose first segment does not start at seq 1, and
+/// a logged op the replay contradicts (an insert assigned another id, a
+/// delete of an id that is not alive). Recovery never skips over
+/// acknowledged data or accepts a bad CRC.
 
 /// Provenance of a durability directory, stored as RUNMETA.json next to the
 /// WAL segments so `--recover` is self-contained: it tells recovery which
@@ -43,8 +41,9 @@ struct RunMeta {
 bool WriteRunMeta(const std::string& dir, const RunMeta& meta,
                   std::string* error);
 
-/// Reads `dir`/RUNMETA.json. False with an actionable *error on a missing
-/// file, unparsable JSON, or missing fields.
+/// Reads `dir`/RUNMETA.json. False with an actionable *error naming the
+/// file and field on a missing file, unparsable JSON, a missing or
+/// malformed field, or params that DbscanParams::RangeError rejects.
 bool ReadRunMeta(const std::string& dir, RunMeta* meta, std::string* error);
 
 struct RecoveryResult {
@@ -54,21 +53,16 @@ struct RecoveryResult {
   std::vector<WalOp> ops;
   WalReplayReport wal;
 
-  /// Newest snapshot in the directory that validated; null when none.
-  std::shared_ptr<const ClusterSnapshot> snapshot;
-  SnapshotMeta snapshot_meta;
-
-  /// Human-readable recovery log: snapshots skipped as invalid, tail
-  /// truncation, replay extent.
+  /// Human-readable recovery log: tail truncation, replay extent.
   std::vector<std::string> notes;
 };
 
-/// Recovers from `dir` (which holds RUNMETA.json, wal-*.log and snap-*.snap
-/// files): replays the WAL into a fresh clusterer of `meta.method`, loads
-/// the newest valid snapshot, and cross-checks replayed inserts against the
-/// logged id assignment (a mismatch means the log does not belong to this
-/// method/params and is a hard error). False (with *error) when the log is
-/// unusable; snapshot problems alone are never fatal.
+/// Recovers from `dir` (which holds RUNMETA.json and wal-*.log files):
+/// replays the WAL into a fresh clusterer of `meta.method`, checking every
+/// logged insert against the id the replay assigns and every logged delete
+/// against the ids alive at that point (a mismatch means the log does not
+/// belong to this method/params). False (with *error) when the log is
+/// unusable; `result->clusterer` is then null.
 bool Recover(const std::string& dir, const RunMeta& meta,
              RecoveryResult* result, std::string* error);
 

@@ -90,7 +90,6 @@ WalWriter::WalWriter(std::string path, bool single_file,
                      const Options& options)
     : options_(options), single_file_(single_file) {
   if (!options_.factory) options_.factory = DefaultFileFactory();
-  next_seq_ = options_.start_seq;
   if (single_file_) {
     single_path_ = std::move(path);
   } else {
@@ -362,7 +361,20 @@ bool ReplayWal(const std::string& dir,
   *report = WalReplayReport();
   std::vector<std::string> segments;
   if (!ListWalSegments(dir, &segments, error)) return false;
-  uint64_t expect_first = 0;  // First segment: accept the header's value.
+  // A writer numbers its first record 1, so a log whose first segment
+  // starts later lost its head; replaying the rest would skip acknowledged
+  // records.
+  const std::string first_name = WalSegmentName(1);
+  if (!segments.empty() &&
+      std::filesystem::path(segments[0]).filename() != first_name) {
+    if (error != nullptr) {
+      *error = "wal segment " + segments[0] + " is the first in " + dir +
+               " but the log starts at " + first_name +
+               ": the segments before it are missing";
+    }
+    return false;
+  }
+  uint64_t expect_first = 1;
   for (size_t i = 0; i < segments.size(); ++i) {
     const bool is_last = i + 1 == segments.size();
     const int64_t records_before = report->records;

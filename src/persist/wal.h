@@ -89,8 +89,6 @@ class WalWriter {
     /// 1 = fsync every record; N > 1 = group commit, fsync once every N
     /// records (and on Close).
     int sync_every = 0;
-    /// First sequence number this writer assigns.
-    uint64_t start_seq = 1;
     /// Segment file opener; tests interpose fault injection here.
     WritableFileFactory factory;
   };
@@ -162,10 +160,11 @@ struct WalReplayReport {
 /// Replays every valid record of the log in `dir`, in sequence order,
 /// through `fn`. A torn/corrupt record in the *last* segment truncates the
 /// tail (reported, not an error); corruption anywhere else — a bad CRC in a
-/// non-final segment, a missing or duplicated segment, a header that does
-/// not match its file name — returns false with an actionable description
-/// in *error naming the file and offset. An empty directory replays zero
-/// records successfully.
+/// non-final segment, a missing or duplicated segment (the first one
+/// included: a log starts at seq 1), a header that does not match its file
+/// name — returns false with an actionable description in *error naming
+/// the file and offset. An empty directory replays zero records
+/// successfully.
 bool ReplayWal(const std::string& dir,
                const std::function<void(const WalOp&)>& fn,
                WalReplayReport* report, std::string* error);

@@ -61,7 +61,6 @@ HealthReport EvaluateHealth() {
 
   const int64_t wal_errors = reg.ValueOf("wal.errors");
   const int64_t io_failures = reg.ValueOf("io.write_failures");
-  const int64_t save_failures = reg.ValueOf("persist.snapshot_save_failures");
   const int64_t stall_episodes = reg.ValueOf("watchdog.stalls");
   const int64_t epoch_lag = reg.ValueOf("runner.reader_epoch_lag");
   if (wal_errors > 0) {
@@ -70,9 +69,6 @@ HealthReport EvaluateHealth() {
   } else if (io_failures > 0) {
     std::snprintf(cause, sizeof(cause),
                   "%" PRId64 " file write failure(s) latched", io_failures);
-  } else if (save_failures > 0) {
-    std::snprintf(cause, sizeof(cause),
-                  "%" PRId64 " snapshot save(s) failed", save_failures);
   } else if (stall_episodes > 0) {
     std::snprintf(cause, sizeof(cause),
                   "%" PRId64 " past watchdog stall episode(s)",
@@ -141,8 +137,6 @@ std::string HealthJson(const HealthReport& report) {
   j.Key("watchdog.stalls").Int(reg.ValueOf("watchdog.stalls"));
   j.Key("wal.errors").Int(reg.ValueOf("wal.errors"));
   j.Key("io.write_failures").Int(reg.ValueOf("io.write_failures"));
-  j.Key("persist.snapshot_save_failures")
-      .Int(reg.ValueOf("persist.snapshot_save_failures"));
   j.Key("runner.reader_epoch_lag")
       .Int(reg.ValueOf("runner.reader_epoch_lag"));
   j.EndObject();

@@ -41,9 +41,8 @@ const char* HealthStateName(HealthReport::State state);
 
 /// Evaluates the health rules against the current registry:
 /// stalled   iff watchdog.stalled_workers > 0 (a worker is stuck right now);
-/// degraded  iff wal.errors, io.write_failures or
-///           persist.snapshot_save_failures latched, a past watchdog stall
-///           episode was recorded, or runner.reader_epoch_lag exceeds
+/// degraded  iff wal.errors or io.write_failures latched, a past watchdog
+///           stall episode was recorded, or runner.reader_epoch_lag exceeds
 ///           kMaxHealthyEpochLag;
 /// ok        otherwise.
 HealthReport EvaluateHealth();

@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "core/cluster_snapshot.h"
-#include "persist/snapshot_io.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -94,9 +93,6 @@ RunStats RunWorkload(Clusterer& clusterer, const Workload& workload,
   std::vector<PointId> id_of(workload.points.size(), kInvalidPoint);
   std::vector<PointId> query_ids;
 
-  DDC_CHECK(options.snapshot_every <= 0 || options.wal != nullptr);
-  int64_t until_snapshot = options.snapshot_every;
-
   double total_cost_us = 0;
   double update_cost_us = 0;
   double query_cost_us = 0;
@@ -176,41 +172,13 @@ RunStats RunWorkload(Clusterer& clusterer, const Workload& workload,
     const double us =
         std::chrono::duration<double, std::micro>(t1 - t0).count();
 
-    if (is_update) {
-      // Outside the timed window: the oplog is observability, and snapshot
-      // saves are checkpoint cost, not operation latency.
-      if (options.oplog != nullptr && !options.oplog->Append(logged)) {
-        std::fprintf(stderr, "runner: oplog append failed: %s\n",
-                     options.oplog->error().c_str());
-        std::abort();
-      }
-      if (options.snapshot_every > 0 && --until_snapshot <= 0) {
-        until_snapshot = options.snapshot_every;
-        DDC_TRACE_SPAN("runner.snapshot_save");
-        DDC_HISTOGRAM_SCOPED("runner.snapshot_save");
-        // The log must be on stable storage before a snapshot claims to
-        // cover it: recovery treats a snapshot newer than the replayable
-        // log as lost acknowledged data.
-        if (!options.wal->Sync()) {
-          std::fprintf(stderr, "runner: wal sync failed: %s\n",
-                       options.wal->error().c_str());
-          std::abort();
-        }
-        const uint64_t last_seq = options.wal->next_seq() - 1;
-        const std::string path =
-            options.snapshot_dir + "/" + SnapshotFileName(last_seq);
-        std::string save_error;
-        if (SaveSnapshot(*clusterer.Snapshot(), clusterer.params(), last_seq,
-                         path, &save_error)) {
-          ++stats.snapshots_saved;
-        } else {
-          // Snapshots only accelerate cold starts — the WAL alone recovers
-          // everything — so a failed save warns instead of aborting.
-          std::fprintf(stderr, "runner: snapshot save failed: %s\n",
-                       save_error.c_str());
-          DDC_COUNTER_INC("persist.snapshot_save_failures");
-        }
-      }
+    // Outside the timed window: the oplog is observability, not
+    // durability.
+    if (is_update && options.oplog != nullptr &&
+        !options.oplog->Append(logged)) {
+      std::fprintf(stderr, "runner: oplog append failed: %s\n",
+                   options.oplog->error().c_str());
+      std::abort();
     }
 
     total_cost_us += us;

@@ -61,11 +61,9 @@ struct RunStats {
   /// timeout, but the two causes are reported apart.
   bool interrupted = false;
 
-  /// Durability accounting (zero unless RunOptions wires a WAL/snapshots):
-  /// the WAL seq of the last logged update and how many snapshots the run
-  /// checkpointed.
+  /// Durability accounting (zero unless RunOptions wires a WAL): the WAL
+  /// seq of the last logged update.
   uint64_t wal_last_seq = 0;
-  int64_t snapshots_saved = 0;
 };
 
 struct RunOptions {
@@ -100,13 +98,6 @@ struct RunOptions {
   /// `--oplog-out` satellite) — same record format, written *outside* the
   /// timed window: it is observability, not durability.
   WalWriter* oplog = nullptr;
-
-  /// Save a snapshot into `snapshot_dir` every `snapshot_every` applied
-  /// updates (0 = never). Saves run outside the per-op timed window — they
-  /// are checkpoint cost, not operation latency — but inside the run's wall
-  /// clock. Requires `wal` (snapshots are named by the WAL seq they cover).
-  int64_t snapshot_every = 0;
-  std::string snapshot_dir;
 };
 
 /// Replays `workload` against `clusterer`, timing every operation.

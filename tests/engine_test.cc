@@ -1,5 +1,7 @@
 #include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -48,6 +50,23 @@ TEST(ThreadPoolTest, DrainIsABarrierForWorkerWrites) {
     pool.Drain();
     // Post-drain reads see every write of the drained tasks.
     for (int w = 0; w < 4; ++w) EXPECT_EQ(sums[w], (w + 1) * (round + 1));
+  }
+}
+
+TEST(ThreadPoolTest, SubmitWakesAParkedWorker) {
+  // An idle worker polls its queue only briefly, then parks: each task
+  // below reaches a parked worker, which only Submit's signal wakes.
+  ThreadPool pool(2);
+  std::atomic<int> count{0};
+  for (int i = 0; i < 6; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    pool.Submit(i % 2, [&count] { count.fetch_add(1); });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (count.load() <= i && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_EQ(count.load(), i + 1) << "task " << i << " never ran";
   }
 }
 

@@ -13,7 +13,6 @@
 #include "core/static_dbscan.h"
 #include "persist/fault_file.h"
 #include "persist/recovery.h"
-#include "persist/snapshot_io.h"
 #include "persist/wal.h"
 #include "tests/test_util.h"
 
@@ -69,12 +68,14 @@ struct TrialResult {
 
 /// Runs `plan` against a live clusterer, WAL-logging each applied op
 /// through a fault-injected factory, until the plan ends or the WAL dies.
+/// With `sync_every` > 0 the log is fsynced every that many acknowledged
+/// ops, so a crash budget can land inside an fsync.
 TrialResult RunFaultedTrial(const std::string& dir, const std::string& spec,
                             const DbscanParams& params,
                             const std::vector<PlanOp>& plan,
                             const std::vector<Point>& points,
                             const FaultPlan& fault, int64_t segment_bytes,
-                            int snapshot_every) {
+                            int sync_every) {
   TrialResult out;
   RunMeta meta;
   meta.method = spec;
@@ -113,16 +114,9 @@ TrialResult RunFaultedTrial(const std::string& dir, const std::string& spec,
     }
     ++out.acked;
     out.applied_ops.push_back(logged);  // seq assigned by Append.
-    if (snapshot_every > 0 && out.acked % snapshot_every == 0) {
-      if (!wal.Sync()) {  // A snapshot must never outrun the durable log.
-        out.crashed = true;
-        break;
-      }
-      const uint64_t seq = wal.next_seq() - 1;
-      std::string serr;
-      EXPECT_TRUE(SaveSnapshot(*c->Snapshot(), params, seq,
-                               dir + "/" + SnapshotFileName(seq), &serr))
-          << serr;
+    if (sync_every > 0 && out.acked % sync_every == 0 && !wal.Sync()) {
+      out.crashed = true;
+      break;
     }
   }
   wal.Close();
@@ -177,12 +171,6 @@ void VerifyRecovered(const std::string& dir, const std::string& spec,
   ASSERT_TRUE(got == want)
       << "recovered clustering diverged from the uncrashed reference";
 
-  if (r.snapshot != nullptr) {
-    EXPECT_LE(r.snapshot_meta.last_seq, static_cast<uint64_t>(k))
-        << "snapshot claims coverage beyond the replayed log";
-    EXPECT_LE(r.snapshot->size(), static_cast<int64_t>(points.size()));
-  }
-
   if (check_sandwich) {
     // Theorem 3: exact-at-eps clusters refine the recovered clustering,
     // which refines exact-at-(1+rho)eps clusters (ids are insertion
@@ -215,7 +203,7 @@ DbscanParams TortureParams(double rho) {
 /// verify. `budget` must sit inside the log (the op stream of `n` ops
 /// always writes more than the budgets the tests pick).
 void CrashTrial(const std::string& tag, const std::string& spec, double rho,
-                int n, uint64_t seed, int64_t budget, int snapshot_every) {
+                int n, uint64_t seed, int64_t budget, int sync_every) {
   SCOPED_TRACE(tag + " seed=" + std::to_string(seed) +
                " budget=" + std::to_string(budget));
   const std::string dir = TempDir(tag + std::to_string(seed));
@@ -229,7 +217,7 @@ void CrashTrial(const std::string& tag, const std::string& spec, double rho,
   fault.crash_after_bytes = budget;
   const TrialResult t = RunFaultedTrial(dir, spec, params, plan, points,
                                         fault, /*segment_bytes=*/512,
-                                        snapshot_every);
+                                        sync_every);
   EXPECT_TRUE(t.crashed) << "budget " << budget << " outran the log";
   EXPECT_LT(t.acked, n);
   VerifyRecovered(dir, spec, params, t, points, rho > 0);
@@ -241,17 +229,18 @@ TEST(RecoveryTortureTest, CrashPointsExactGrid) {
   Rng rng(1001);
   for (int trial = 0; trial < 25; ++trial) {
     CrashTrial("exact", "double-approx", 0.0, 140, 9000 + trial,
-               rng.NextInRange(21, 3500), /*snapshot_every=*/0);
+               rng.NextInRange(21, 3500), /*sync_every=*/0);
   }
 }
 
-TEST(RecoveryTortureTest, CrashPointsExactGridWithSnapshots) {
-  // 15 crash budgets with periodic snapshot saves racing the crash: the
-  // newest valid snapshot must never claim coverage beyond the log.
+TEST(RecoveryTortureTest, CrashPointsExactGridWithPeriodicSyncs) {
+  // 15 crash budgets with an fsync every 40 acknowledged ops: a budget may
+  // run out inside the sync itself, and recovery must still keep every
+  // acknowledged op.
   Rng rng(2002);
   for (int trial = 0; trial < 15; ++trial) {
-    CrashTrial("snap", "double-approx", 0.0, 140, 7000 + trial,
-               rng.NextInRange(200, 3500), /*snapshot_every=*/40);
+    CrashTrial("sync", "double-approx", 0.0, 140, 7000 + trial,
+               rng.NextInRange(200, 3500), /*sync_every=*/40);
   }
 }
 
@@ -261,7 +250,7 @@ TEST(RecoveryTortureTest, CrashPointsApproximate) {
   Rng rng(3003);
   for (int trial = 0; trial < 30; ++trial) {
     CrashTrial("rho", "double-approx", 0.001, 130, 5000 + trial,
-               rng.NextInRange(21, 3200), /*snapshot_every=*/0);
+               rng.NextInRange(21, 3200), /*sync_every=*/0);
   }
 }
 
@@ -271,7 +260,7 @@ TEST(RecoveryTortureTest, CrashPointsSharded) {
   for (int trial = 0; trial < 4; ++trial) {
     CrashTrial("sharded", "sharded-double-approx:shards=2,threads=2",
                trial < 2 ? 0.0 : 0.001, 100, 600 + trial,
-               rng.NextInRange(100, 2200), /*snapshot_every=*/0);
+               rng.NextInRange(100, 2200), /*sync_every=*/0);
   }
 }
 
@@ -356,57 +345,129 @@ TEST(RecoveryTortureTest, TornTails) {
   }
 }
 
-TEST(RecoveryTest, SnapshotNewerThanWalIsFatal) {
-  // A snapshot covering seqs the log cannot replay proves the WAL lost
-  // acknowledged records — recovery must refuse, not quietly under-replay.
-  const std::string dir = TempDir("newer");
-  const DbscanParams params = TortureParams(0.0);
-  Rng plan_rng(42);
-  const std::vector<PlanOp> plan = MakePlan(plan_rng, 80);
-  Rng pt_rng(43);
-  const std::vector<Point> points = BlobPoints(pt_rng, 80, 2, 60.0, 3, 2.0);
-  const TrialResult t = RunFaultedTrial(dir, "double-approx", params, plan,
-                                        points, FaultPlan{}, 1 << 20,
-                                        /*snapshot_every=*/40);
-  ASSERT_FALSE(t.crashed);
-
-  // Lose the log but keep the snapshots.
-  std::vector<std::string> segments;
-  std::string error;
-  ASSERT_TRUE(ListWalSegments(dir, &segments, &error));
-  for (const std::string& s : segments) std::filesystem::remove(s);
-
-  RecoveryResult r;
-  RunMeta meta;
-  EXPECT_FALSE(RecoverFromDir(dir, &r, &meta, &error));
-  EXPECT_NE(error.find("lost acknowledged"), std::string::npos) << error;
-}
-
 TEST(RecoveryTest, RunMetaRoundTripsBitExactly) {
-  const std::string dir = TempDir("runmeta");
-  RunMeta meta;
-  meta.method = "sharded-double-approx:shards=4,threads=2";
-  meta.scenario = "burst:n=4000";
-  meta.seed = 0xFEEDFACE;
-  meta.params.dim = 5;
-  meta.params.eps = 0.1;
-  meta.params.min_pts = 7;
-  meta.params.rho = 1e-300;
-  std::string error;
-  ASSERT_TRUE(WriteRunMeta(dir, meta, &error)) << error;
-  RunMeta got;
-  ASSERT_TRUE(ReadRunMeta(dir, &got, &error)) << error;
-  EXPECT_EQ(got.method, meta.method);
-  EXPECT_EQ(got.scenario, meta.scenario);
-  EXPECT_EQ(got.seed, meta.seed);
-  EXPECT_EQ(got.params.dim, meta.params.dim);
-  EXPECT_EQ(got.params.min_pts, meta.params.min_pts);
-  EXPECT_EQ(got.params.eps, meta.params.eps);
-  EXPECT_EQ(got.params.rho, meta.params.rho);  // 1e-300 survives exactly.
+  // Seeds past 2^53 have no exact double, and seeds past 2^63 no int64.
+  for (const uint64_t seed :
+       {uint64_t{0xFEEDFACE}, (uint64_t{1} << 53) + 1, UINT64_MAX}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::string dir = TempDir("runmeta");
+    RunMeta meta;
+    meta.method = "sharded-double-approx:shards=4,threads=2";
+    meta.scenario = "burst:n=4000";
+    meta.seed = seed;
+    meta.params.dim = 5;
+    meta.params.eps = 0.1;
+    meta.params.min_pts = 7;
+    meta.params.rho = 1e-300;
+    std::string error;
+    ASSERT_TRUE(WriteRunMeta(dir, meta, &error)) << error;
+    RunMeta got;
+    ASSERT_TRUE(ReadRunMeta(dir, &got, &error)) << error;
+    EXPECT_EQ(got.method, meta.method);
+    EXPECT_EQ(got.scenario, meta.scenario);
+    EXPECT_EQ(got.seed, meta.seed);
+    EXPECT_EQ(got.params.dim, meta.params.dim);
+    EXPECT_EQ(got.params.min_pts, meta.params.min_pts);
+    EXPECT_EQ(got.params.eps, meta.params.eps);
+    EXPECT_EQ(got.params.rho, meta.params.rho);  // 1e-300 survives exactly.
+  }
 
   RunMeta missing;
-  EXPECT_FALSE(ReadRunMeta(dir + "/nope", &missing, &error));
+  std::string error;
+  EXPECT_FALSE(ReadRunMeta(TempDir("runmeta") + "/nope", &missing, &error));
   EXPECT_NE(error.find("nope"), std::string::npos) << error;
+}
+
+/// A RUNMETA.json with the given raw JSON values for the seed and the
+/// numeric params; eps is 2.0.
+std::string RunMetaJson(const std::string& seed, const std::string& dim,
+                        const std::string& min_pts,
+                        const std::string& rho_bits) {
+  return R"({"method":"double-approx","scenario":"torture","seed":)" + seed +
+         R"(,"params":{"dim":)" + dim + R"(,"min_pts":)" + min_pts +
+         R"(,"eps_bits":"0x4000000000000000","rho_bits":")" + rho_bits +
+         R"("}})";
+}
+
+constexpr char kRhoZero[] = "0x0000000000000000";
+
+TEST(RecoveryTest, RunMetaAcceptsAnOlderNumericSeedBelowTwoTo53) {
+  const std::string dir = TempDir("oldseed");
+  std::string error;
+  ASSERT_TRUE(WriteFile(dir + "/RUNMETA.json",
+                        RunMetaJson("9007199254740991", "2", "5", kRhoZero),
+                        &error))
+      << error;
+  RunMeta got;
+  ASSERT_TRUE(ReadRunMeta(dir, &got, &error)) << error;
+  EXPECT_EQ(got.seed, (uint64_t{1} << 53) - 1);
+  EXPECT_EQ(got.params.dim, 2);
+  EXPECT_EQ(got.params.eps, 2.0);
+}
+
+TEST(RecoveryTest, RunMetaRejectsEachBadFieldNamingIt) {
+  // Bad params must be reported, not abort --recover later, and a seed
+  // must not be rounded into another scenario's seed.
+  struct Case {
+    const char* what;
+    std::string json;
+    const char* field;
+  };
+  const Case cases[] = {
+      {"numeric seed past 2^53",
+       RunMetaJson("9007199254740993", "2", "5", kRhoZero), "seed"},
+      {"negative numeric seed", RunMetaJson("-5", "2", "5", kRhoZero),
+       "seed"},
+      {"fractional seed", RunMetaJson("1.5", "2", "5", kRhoZero), "seed"},
+      {"negative string seed", RunMetaJson(R"("-1")", "2", "5", kRhoZero),
+       "seed"},
+      {"seed with trailing junk", RunMetaJson(R"("12x")", "2", "5", kRhoZero),
+       "seed"},
+      {"seed past 2^64",
+       RunMetaJson(R"("18446744073709551616")", "2", "5", kRhoZero), "seed"},
+      {"dim 40", RunMetaJson(R"("1")", "40", "5", kRhoZero), "dim"},
+      {"fractional dim", RunMetaJson(R"("1")", "2.5", "5", kRhoZero), "dim"},
+      {"dim past int", RunMetaJson(R"("1")", "1e20", "5", kRhoZero), "dim"},
+      {"min_pts 0", RunMetaJson(R"("1")", "2", "0", kRhoZero), "min_pts"},
+      {"NaN rho", RunMetaJson(R"("1")", "2", "5", "0x7ff8000000000000"),
+       "rho"},
+      {"rho 1.5", RunMetaJson(R"("1")", "2", "5", "0x3ff8000000000000"),
+       "rho"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const std::string dir = TempDir("badmeta");
+    std::string error;
+    ASSERT_TRUE(WriteFile(dir + "/RUNMETA.json", c.json, &error)) << error;
+    RunMeta got;
+    EXPECT_FALSE(ReadRunMeta(dir, &got, &error));
+    EXPECT_NE(error.find(c.field), std::string::npos) << error;
+    EXPECT_NE(error.find("RUNMETA.json"), std::string::npos) << error;
+  }
+}
+
+TEST(RecoveryTest, DeleteOfADeadIdIsAHardErrorNamingTheSeq) {
+  // A log that opens with a delete of id 5: nothing is alive yet, so the
+  // log cannot belong to this run. The replay must refuse, not abort.
+  const std::string dir = TempDir("deaddelete");
+  RunMeta meta;
+  meta.method = "double-approx";
+  meta.params = TortureParams(0.0);
+  std::string error;
+  ASSERT_TRUE(WriteRunMeta(dir, meta, &error)) << error;
+  {
+    WalWriter wal(dir, {});
+    WalOp op;
+    op.type = WalOp::Type::kDelete;
+    op.id = 5;
+    ASSERT_TRUE(wal.Append(op)) << wal.error();
+    ASSERT_TRUE(wal.Close()) << wal.error();
+  }
+  RecoveryResult r;
+  EXPECT_FALSE(RecoverFromDir(dir, &r, nullptr, &error));
+  EXPECT_NE(error.find("seq 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("id 5"), std::string::npos) << error;
+  EXPECT_EQ(r.clusterer, nullptr);
 }
 
 TEST(RecoveryTest, RefusesAMethodThisBuildRejects) {
@@ -433,7 +494,6 @@ TEST(RecoveryTest, EmptyDirectoryRecoversToAnEmptyClusterer) {
   ASSERT_TRUE(Recover(dir, meta, &r, &error)) << error;
   EXPECT_EQ(r.ops.size(), 0u);
   EXPECT_EQ(r.clusterer->AlivePoints().size(), 0u);
-  EXPECT_EQ(r.snapshot, nullptr);
 }
 
 }  // namespace

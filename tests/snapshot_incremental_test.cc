@@ -113,7 +113,8 @@ void ExpectStillAnswers(const Held& h, int64_t later_freezes) {
 }
 
 /// Check 1: `got` (frozen over its predecessor) against `want` (the first
-/// freeze of a replay), on every id below `id_bound` plus one past it.
+/// freeze of a replay), on every id below `id_bound`, one past it, and one
+/// far past it.
 void ExpectSameAsFullBuild(const ClusterSnapshot& got,
                            const ClusterSnapshot& want, PointId id_bound) {
   ASSERT_EQ(got.size(), want.size());
@@ -122,7 +123,10 @@ void ExpectSameAsFullBuild(const ClusterSnapshot& got,
     ASSERT_EQ(got.alive(id), want.alive(id)) << "id " << id;
     if (got.alive(id)) qids.push_back(id);
   }
-  EXPECT_EQ(CanonicalQuery(got, qids), CanonicalQuery(want, qids));
+  // An id far past the end must be skipped, not trusted.
+  std::vector<PointId> with_stray = qids;
+  with_stray.push_back(id_bound + 1000);
+  EXPECT_EQ(CanonicalQuery(got, with_stray), CanonicalQuery(want, with_stray));
   const auto* g = dynamic_cast<const GridSnapshot*>(&got);
   const auto* w = dynamic_cast<const GridSnapshot*>(&want);
   ASSERT_EQ(g == nullptr, w == nullptr);

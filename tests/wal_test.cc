@@ -321,25 +321,57 @@ TEST(WalTest, MissingMiddleSegmentIsAHardError) {
   EXPECT_NE(error.find("missing"), std::string::npos) << error;
 }
 
+TEST(WalTest, MissingFirstSegmentIsAHardError) {
+  // A log whose head is gone must not replay from whatever seq its first
+  // remaining segment starts at: that drops acknowledged records.
+  const std::string dir = TempDir("nohead");
+  WalWriter::Options options;
+  options.segment_bytes = 200;
+  WriteLog(dir, 40, options);
+  std::vector<std::string> segments;
+  std::string error;
+  ASSERT_TRUE(ListWalSegments(dir, &segments, &error));
+  ASSERT_GT(segments.size(), 2u);
+  std::filesystem::remove(segments[0]);
+
+  WalReplayReport report;
+  std::vector<WalOp> got = ReplayAll(dir, &report, &error);
+  EXPECT_TRUE(got.empty());
+  EXPECT_NE(error.find("missing"), std::string::npos) << error;
+  EXPECT_NE(error.find(segments[1]), std::string::npos) << error;
+
+  // Same when the only segment left is a torn rotation, which as the final
+  // segment would otherwise truncate to an empty log.
+  const std::string torn = TempDir("tornhead");
+  ASSERT_TRUE(WriteFile(torn + "/" + WalSegmentName(6), ""));
+  error.clear();
+  got = ReplayAll(torn, &report, &error);
+  EXPECT_NE(error.find("missing"), std::string::npos) << error;
+  EXPECT_NE(error.find(WalSegmentName(6)), std::string::npos) << error;
+}
+
 TEST(WalTest, DuplicatedSegmentIsAHardErrorNamingBothFiles) {
   // Two names that parse to the same first_seq (hex case differs): the
   // listing itself must refuse — picking either file silently would be
   // guessing about acknowledged data.
   const std::string dir = TempDir("dup");
+  // Five records per segment: the third starts at seq 11 = 0x...b, a hex
+  // letter to upcase.
   WalWriter::Options options;
-  options.start_seq = 10;  // 0x...a, so the name has a hex letter to upcase.
-  WriteLog(dir, 3, options);
-  const std::string lower = dir + "/" + WalSegmentName(10);
+  options.segment_bytes = 200;
+  WriteLog(dir, 15, options);
+  const std::string lower = dir + "/" + WalSegmentName(11);
+  ASSERT_TRUE(std::filesystem::exists(lower));
   std::string upper = lower;
-  upper.replace(upper.size() - 5, 1, "A");
+  upper.replace(upper.size() - 5, 1, "B");
   std::filesystem::copy_file(lower, upper);
 
   std::vector<std::string> segments;
   std::string error;
   EXPECT_FALSE(ListWalSegments(dir, &segments, &error));
   EXPECT_NE(error.find("duplicated"), std::string::npos) << error;
-  EXPECT_NE(error.find("000000000000000a"), std::string::npos) << error;
-  EXPECT_NE(error.find("000000000000000A"), std::string::npos) << error;
+  EXPECT_NE(error.find("000000000000000b"), std::string::npos) << error;
+  EXPECT_NE(error.find("000000000000000B"), std::string::npos) << error;
 
   WalReplayReport report;
   const std::vector<WalOp> got = ReplayAll(dir, &report, &error);

@@ -58,21 +58,18 @@
 //   --wal-dir     Log every applied update to a write-ahead log before it
 //                 leaves the timing window. Each scenario×method run logs
 //                 into its own subdirectory <wal-dir>/<scenario>_<method>/
-//                 (RUNMETA.json + wal-*.log + snap-*.snap); a directory that
-//                 already holds a log is refused, never appended to.
+//                 (RUNMETA.json + wal-*.log); a directory that already holds
+//                 a log is refused, never appended to.
 //   --wal-sync    fsync policy: 0 = never (default; a SIGKILL still loses
 //                 nothing — only power failure can), 1 = every record,
 //                 N > 1 = group commit every N records.
-//   --snapshot-every
-//                 Save a queryable snapshot into the run's WAL directory
-//                 every N applied updates (0 = never; requires --wal-dir).
 //   --oplog-out   Record the applied op stream (WAL record format, single
 //                 file) for offline analysis/replay; with several runs in
 //                 one invocation each gets <oplog-out>.<scenario>_<method>.
-//   --recover     Recover from a --wal-dir run subdirectory: load the newest
-//                 valid snapshot, replay the log tail into a fresh clusterer
-//                 of the logged method (truncating a torn tail, refusing
-//                 corruption anywhere else), report, and exit.
+//   --recover     Recover from a --wal-dir run subdirectory: replay the
+//                 whole log into a fresh clusterer of the logged method
+//                 (truncating a torn tail, refusing corruption or a gap
+//                 anywhere else), report, and exit.
 //   --recover-verify
 //                 After --recover, rebuild the scenario from RUNMETA and
 //                 check the recovered clustering is bit-identical to an
@@ -335,12 +332,7 @@ int main(int argc, char** argv) {
 
   const std::string wal_dir = flags.GetString("wal-dir", "");
   const int wal_sync = static_cast<int>(flags.GetInt("wal-sync", 0));
-  const int64_t snapshot_every = flags.GetInt("snapshot-every", 0);
   const std::string oplog_out = flags.GetString("oplog-out", "");
-  if (snapshot_every > 0 && wal_dir.empty()) {
-    std::fprintf(stderr, "--snapshot-every requires --wal-dir\n");
-    return 1;
-  }
   const bool single_run = specs.size() == 1 && methods.size() == 1;
 
   // Live monitoring: the sampler runs whenever anything consumes it — a
@@ -451,8 +443,6 @@ int main(int argc, char** argv) {
           return 1;
         }
         options.wal = wal.get();
-        options.snapshot_every = snapshot_every;
-        options.snapshot_dir = run_dir;
       }
       std::unique_ptr<ddc::WalWriter> oplog;
       if (!oplog_out.empty()) {
