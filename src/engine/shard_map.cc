@@ -1,6 +1,8 @@
 #include "engine/shard_map.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
@@ -17,8 +19,8 @@ void ShardMap::InitFromSample(const std::vector<Point>& sample) {
   DDC_CHECK(!initialized_);
   initialized_ = true;
   // The split dimension and extent are computed even for a single shard
-  // (HoldersOf is {0} and NearBoundary is false regardless, since there are
-  // no cuts), so split_dim()/lo()/slab_width() describe the sample.
+  // (HoldersOf is {0} regardless, since there are no cuts), so
+  // split_dim()/lo()/slab_width() describe the sample.
   if (!sample.empty()) {
     double best_spread = -1;
     for (int i = 0; i < dim_; ++i) {
@@ -42,12 +44,27 @@ void ShardMap::InitFromSample(const std::vector<Point>& sample) {
   // shards and register nearly every core point with the stitcher — an
   // unrepresentative (or empty) warmup sample must degrade toward fewer
   // effective shards, not toward all-pairs stitching. Width >= 2·halo caps
-  // the replication factor at 2.
+  // the replication factor at 2 in exact arithmetic.
   width_ = std::max(width_, 2 * halo_);
+  // In floating point, HoldersOf needs every gap b - a between consecutive
+  // cuts to be at least 2·halo / (1 - 2^-53). A computed gap of at least
+  // min_gap proves that, since it overstates the true gap by at most a
+  // factor (1 + 2^-53). lo + k·width rounds per cut, so at the floor two
+  // neighbors can land a few ulps too close: push such a cut up, by a step
+  // doubling from one ulp, until its computed gap clears min_gap.
+  const double min_gap =
+      2 * halo_ * (1 + 2 * std::numeric_limits<double>::epsilon());
   cuts_.clear();
   cuts_.reserve(shards_ - 1);
   for (int k = 1; k < shards_; ++k) {
-    cuts_.push_back(lo_ + static_cast<double>(k) * width_);
+    double cut = lo_ + static_cast<double>(k) * width_;
+    if (!cuts_.empty()) {
+      for (double step = std::nextafter(cut, HUGE_VAL) - cut;
+           cut - cuts_.back() < min_gap; step *= 2) {
+        cut += step;
+      }
+    }
+    cuts_.push_back(cut);
   }
 }
 

@@ -86,12 +86,11 @@ ShardedClusterer::~ShardedClusterer() {
 
 PointId ShardedClusterer::Insert(const Point& p) {
   const PointId gid = static_cast<PointId>(points_.size());
-  points_.push_back(PointRec{});
-  points_[gid].alive = true;
+  points_.emplace_back().alive = true;
   ++alive_;
 
   if (!map_.initialized()) {
-    warmup_buffer_.push_back(Op{gid, true, false, 0, p});
+    warmup_buffer_.push_back(Op{gid, kInvalidPoint, true, false, 0, p});
     ++warmup_inserts_;
     if (warmup_inserts_ >= options_.warmup) FinishWarmup();
     return gid;
@@ -104,43 +103,50 @@ void ShardedClusterer::Delete(PointId id) {
   DDC_CHECK(id >= 0 && id < static_cast<PointId>(points_.size()) &&
             points_[id].alive);
   points_[id].alive = false;
+  route_dirty_.MarkPoint(id);
   --alive_;
 
   if (!map_.initialized()) {
-    warmup_buffer_.push_back(Op{id, false, false, 0, Point{}});
+    warmup_buffer_.push_back(Op{id, kInvalidPoint, false, false, 0, Point{}});
     return;
   }
   RouteDelete(id);
 }
 
 void ShardedClusterer::RouteInsert(PointId gid, const Point& p) {
-  PointRec& rec = points_[gid];
+  ShardedSnapshot::Route& rec = points_[gid];
   const int owner = map_.OwnerOf(p);
   const ShardMap::Range holders = map_.HoldersOf(p);
-  DDC_DCHECK(holders.first <= owner && owner <= holders.last);
+  // The record has room for two holders; ShardMap guarantees no more.
+  DDC_CHECK(holders.first <= owner && owner <= holders.last &&
+            holders.last - holders.first <= 1);
   rec.owner = static_cast<uint8_t>(owner);
-  rec.first_holder = static_cast<uint8_t>(holders.first);
-  rec.last_holder = static_cast<uint8_t>(holders.last);
+  rec.first = static_cast<uint8_t>(holders.first);
+  rec.last = static_cast<uint8_t>(holders.last);
 
   Op op;
   op.gid = gid;
   op.is_insert = true;
-  op.boundary = map_.NearBoundary(p, owner);
+  op.boundary = holders.first != holders.last;
   op.owner = static_cast<uint8_t>(owner);
   op.point = p;
   for (int t = holders.first; t <= holders.last; ++t) {
-    EnqueueOp(*shards_[t], op);
+    Shard& shard = *shards_[t];
+    op.local = shard.next_local++;
+    rec.local[t - holders.first] = op.local;
+    EnqueueOp(shard, op);
   }
 }
 
 void ShardedClusterer::RouteDelete(PointId gid) {
-  const PointRec& rec = points_[gid];
+  const ShardedSnapshot::Route& rec = points_[gid];
   Op op;
   op.gid = gid;
   op.is_insert = false;
   op.boundary = false;
   op.owner = rec.owner;
-  for (int t = rec.first_holder; t <= rec.last_holder; ++t) {
+  for (int t = rec.first; t <= rec.last; ++t) {
+    op.local = rec.local_in(t);
     EnqueueOp(*shards_[t], op);
   }
 }
@@ -165,16 +171,15 @@ void ShardedClusterer::PublishShard(Shard& shard) {
 }
 
 void ShardedClusterer::ProcessShard(Shard* shard) {
-  // One task is submitted per published batch, so normally this pops exactly
-  // one; the loop also mops up if a prior task consumed several.
-  for (;;) {
-    std::vector<Op> batch;
-    {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      if (shard->pending.empty()) return;
-      batch = std::move(shard->pending.front());
-      shard->pending.erase(shard->pending.begin());
-    }
+  // One task is submitted per published batch, but each task takes every
+  // batch queued so far, in order, by swapping the whole list out: O(1)
+  // under the lock the ingest thread publishes through. Later tasks may
+  // then find the list empty.
+  {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    shard->applying.swap(shard->pending);
+  }
+  for (const std::vector<Op>& batch : shard->applying) {
     DDC_TRACE_SPAN("engine.shard_batch");
     const auto t0 = std::chrono::steady_clock::now();
     for (const Op& op : batch) ApplyOp(*shard, op);
@@ -187,29 +192,27 @@ void ShardedClusterer::ProcessShard(Shard* shard) {
     ++shard->batches_applied;
     shard->dirty = true;
   }
+  shard->applying.clear();
 }
 
 void ShardedClusterer::ApplyOp(Shard& shard, const Op& op) {
   if (op.is_insert) {
     const bool owned = static_cast<int>(op.owner) == shard.index;
-    // The local id the grid will assign; registered before Insert so the
-    // core observer can translate it the moment the new point promotes.
-    const PointId local =
-        static_cast<PointId>(shard.clusterer->grid().total_inserted());
+    // Registered under the routed local id before Insert, so the core
+    // observer can translate it the moment the new point promotes.
     shard.global_of.push_back(op.gid);
     shard.is_owned.push_back(owned ? 1 : 0);
     shard.is_boundary.push_back(owned && op.boundary ? 1 : 0);
     const PointId got = shard.clusterer->Insert(op.point);
-    DDC_CHECK(got == local);
-    shard.local_of[op.gid] = local;
+    DDC_CHECK(got == op.local);
     (owned ? shard.owned_alive : shard.ghost_alive) += 1;
     return;
   }
-  PointId* local = shard.local_of.Find(op.gid);
-  DDC_CHECK(local != nullptr);
-  (shard.is_owned[*local] ? shard.owned_alive : shard.ghost_alive) -= 1;
-  shard.clusterer->Delete(*local);
-  shard.local_of.Erase(op.gid);
+  DDC_CHECK(op.local >= 0 &&
+            op.local < static_cast<PointId>(shard.global_of.size()) &&
+            shard.global_of[op.local] == op.gid);
+  (shard.is_owned[op.local] ? shard.owned_alive : shard.ghost_alive) -= 1;
+  shard.clusterer->Delete(op.local);
 }
 
 void ShardedClusterer::FinishWarmup() {
@@ -295,25 +298,19 @@ void ShardedClusterer::PublishSnapshot() {
   // Workers are quiescent (post-drain): freeze each shard's query state —
   // the per-shard snapshot caches make this cheap for shards that applied
   // nothing since their last freeze — plus this epoch's stitch table and
-  // the routing records, and swap the composite in atomically.
+  // the routing records (sharing every clean page with the previous
+  // epoch), and swap the composite in atomically.
   std::vector<std::shared_ptr<const GridSnapshot>> shard_snaps;
-  std::vector<FlatHashMap<PointId, PointId>> local_of;
   shard_snaps.reserve(shards_.size());
-  local_of.reserve(shards_.size());
   for (auto& shard : shards_) {
     shard_snaps.push_back(std::static_pointer_cast<const GridSnapshot>(
         shard->clusterer->Snapshot()));
-    local_of.push_back(shard->local_of);
   }
-  std::vector<ShardedSnapshot::GidRec> recs(points_.size());
-  for (size_t gid = 0; gid < points_.size(); ++gid) {
-    const PointRec& rec = points_[gid];
-    recs[gid] = ShardedSnapshot::GidRec{rec.owner, rec.first_holder,
-                                        rec.last_holder, rec.alive};
-  }
+  const std::shared_ptr<const ShardedSnapshot> prev = published_.Load();
   published_.Store(std::make_shared<const ShardedSnapshot>(
-      epoch(), std::move(recs), alive_, std::move(shard_snaps),
-      std::move(local_of), stitcher_.table()));
+      epoch(), points_, alive_, prev.get(), route_dirty_,
+      std::move(shard_snaps), stitcher_.table()));
+  route_dirty_.Clear();
 }
 
 std::shared_ptr<const ClusterSnapshot> ShardedClusterer::Snapshot() {
@@ -323,18 +320,16 @@ std::shared_ptr<const ClusterSnapshot> ShardedClusterer::Snapshot() {
 
 void ShardedClusterer::LabelsOf(PointId gid,
                                 std::vector<BoundaryStitcher::LabelKey>* out) {
-  const PointRec& rec = points_[gid];
+  const ShardedSnapshot::Route& rec = points_[gid];
   auto push = [&](int t) {
-    Shard& s = *shards_[t];
-    const PointId* local = s.local_of.Find(gid);
-    DDC_CHECK(local != nullptr);
-    if (s.clusterer->is_core(*local)) {
-      out->push_back(BoundaryStitcher::LabelKey{
-          t, s.clusterer->CoreLabelOf(*local)});
+    FullyDynamicClusterer& c = *shards_[t]->clusterer;
+    const PointId local = rec.local_in(t);
+    if (c.is_core(local)) {
+      out->push_back(BoundaryStitcher::LabelKey{t, c.CoreLabelOf(local)});
     }
   };
   push(rec.owner);  // Owner first; owner-core is the registration invariant.
-  for (int t = rec.first_holder; t <= rec.last_holder; ++t) {
+  for (int t = rec.first; t <= rec.last; ++t) {
     if (t != rec.owner) push(t);
   }
 }

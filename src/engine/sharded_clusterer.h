@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/flat_hash.h"
 #include "core/clusterer.h"
 #include "core/fully_dynamic_clusterer.h"
 #include "core/params.h"
@@ -24,33 +23,41 @@ namespace ddc {
 /// over S spatial slabs with ghost-zone replication and cross-shard cluster
 /// stitching, behind the ordinary Clusterer interface.
 ///
-/// Ingest. Each update is routed to the owner slab of its point plus every
-/// neighbor slab within the (1+ρ)ε halo (ShardMap::HoldersOf), accumulated
-/// into per-shard batches, and published to per-shard MPSC queues consumed
-/// by a pinned thread-pool worker — one FullyDynamicClusterer per shard,
-/// each applying its stream in submission order. Ghost replicas contribute
-/// to their host shard's counts and core statuses (that is what makes every
-/// owned point's core status exact) but are *labeled* by their owner shard.
-/// The first `warmup` inserts are buffered to pick the spread-maximizing
-/// split dimension before any work is forwarded; the buffered prefix then
-/// replays in order, so shards=1 reproduces the unsharded engine verbatim —
-/// same op stream, same structures, same don't-care decisions.
+/// Ingest. Each update is routed to the owner slab of its point plus the
+/// neighbor slab within the (1+ρ)ε halo, if any (ShardMap::HoldersOf: at
+/// most two holders), accumulated into per-shard batches, and published to
+/// per-shard MPSC queues consumed by a pinned thread-pool worker — one
+/// FullyDynamicClusterer per shard, each applying its stream in submission
+/// order. The ingest thread also assigns the point's local id in each
+/// holder from a per-shard counter: a shard's grid hands out local ids
+/// densely in the order it applies inserts, which is the routing order. So
+/// the routing record (ShardedSnapshot::Route) holds every holder's local
+/// id without asking a worker, and a delete carries it. Ghost replicas
+/// contribute to their host shard's counts and core statuses (that is what
+/// makes every owned point's core status exact) but are *labeled* by their
+/// owner shard. The first `warmup` inserts are buffered to pick the
+/// spread-maximizing split dimension before any work is forwarded; the
+/// buffered prefix then replays in order, so shards=1 reproduces the
+/// unsharded engine verbatim — same op stream, same structures, same
+/// don't-care decisions.
 ///
 /// Queries. Every Flush that applied work rebuilds the stitch table — a
 /// union-find over shard-local component labels, fed by the incrementally
 /// maintained boundary core-core edge set (see BoundaryStitcher) — then
 /// composes a ShardedSnapshot (per-shard frozen GridSnapshots + the stitch
-/// label table + routing records) and publishes it by an atomic shared_ptr
-/// swap: one immutable epoch, readable lock-free from any number of
-/// threads while further updates flow. Query/ClusterIdOf/SameCluster are
-/// Flush + a resolve against the published snapshot; CurrentSnapshot() is
-/// the wait-free read-side entry point (the latest published epoch, no
-/// flush). An owner-core point belongs exactly to its owner's component; a
-/// point that is non-core in its owner shard takes the union of the
-/// memberships every holding shard computes for it, which restores the
-/// cross-boundary attachments a single truncated halo cannot see. The
-/// result satisfies the Theorem 3 sandwich at every shard count and equals
-/// exact DBSCAN verbatim at rho == 0 (tests/conformance_test.cc).
+/// label table + the routing records, in copy-on-write pages of which only
+/// those with a delete or a new id since the last epoch are rebuilt) and
+/// publishes it by an atomic shared_ptr swap: one immutable epoch, readable
+/// lock-free from any number of threads while further updates flow.
+/// Query/ClusterIdOf/SameCluster are Flush + a resolve against the
+/// published snapshot; CurrentSnapshot() is the wait-free read-side entry
+/// point (the latest published epoch, no flush). An owner-core point
+/// belongs exactly to its owner's component; a point that is non-core in
+/// its owner shard takes the union of the memberships every holding shard
+/// computes for it, which restores the cross-boundary attachments a single
+/// truncated halo cannot see. The result satisfies the Theorem 3 sandwich
+/// at every shard count and equals exact DBSCAN verbatim at rho == 0
+/// (tests/conformance_test.cc).
 ///
 /// Partition. The slab cuts are fixed once, from the warmup sample, and
 /// never move afterwards. Skew is observed, not corrected: every dirty
@@ -139,11 +146,13 @@ class ShardedClusterer : public Clusterer {
 
  private:
   /// One queued update. Inserts carry the point and routing decisions made
-  /// once on the ingest thread; every holder receives the same Op.
+  /// once on the ingest thread; every holder receives the same Op but for
+  /// `local`, the point's local id in that holder.
   struct Op {
     PointId gid;
+    PointId local;
     bool is_insert;
-    bool boundary;  // Insert only: NearBoundary(point, owner).
+    bool boundary;  // Insert only: the point has a second holder.
     uint8_t owner;
     Point point;  // Insert only.
   };
@@ -156,26 +165,31 @@ class ShardedClusterer : public Clusterer {
     Point point;
   };
 
+  /// One slab's clusterer and queues. The fields sit on separate 64-byte
+  /// cache lines by writer, so the ingest thread's per-op writes never
+  /// invalidate the line the worker reads on every ApplyOp.
   struct Shard {
-    int index = 0;  // Slab index.
-    int worker = 0;
-    std::unique_ptr<FullyDynamicClusterer> clusterer;
-
-    // Ingest side (caller thread only).
-    std::vector<Op> open;
+    // Ingest side (caller thread only), written on every routed op.
+    alignas(64) std::vector<Op> open;
+    PointId next_local = 0;  // Local id the next insert routed here gets.
 
     // The MPSC batch queue. queue_hwm is the deepest `pending` has ever
     // been, sampled at publish time (ingest thread, under mu).
-    std::mutex mu;
+    alignas(64) std::mutex mu;
     std::vector<std::vector<Op>> pending;
     int64_t queue_hwm = 0;
 
+    // Fixed at construction; the worker reads them on every ApplyOp.
+    alignas(64) int index = 0;  // Slab index.
+    int worker = 0;
+    std::unique_ptr<FullyDynamicClusterer> clusterer;
+
     // Worker-side state. Safe for the caller to read after ThreadPool::
     // Drain(), which establishes the happens-before edge.
+    std::vector<std::vector<Op>> applying;  // `pending`, swapped out.
     std::vector<PointId> global_of;   // local id -> global id
     std::vector<uint8_t> is_owned;    // local id -> owned here?
     std::vector<uint8_t> is_boundary; // local id -> owned and near an edge?
-    FlatHashMap<PointId, PointId> local_of;  // global id -> live local id
     std::vector<CoreDelta> deltas;
     int64_t owned_alive = 0;
     int64_t ghost_alive = 0;
@@ -184,14 +198,6 @@ class ShardedClusterer : public Clusterer {
     int64_t batches_applied = 0;
     double busy_seconds = 0;
     bool dirty = false;  // Applied ops since the last stitch rebuild.
-  };
-
-  /// Global per-point record (caller thread only).
-  struct PointRec {
-    uint8_t owner = 0;
-    uint8_t first_holder = 0;
-    uint8_t last_holder = 0;
-    bool alive = false;
   };
 
   void RouteInsert(PointId gid, const Point& p);
@@ -218,7 +224,10 @@ class ShardedClusterer : public Clusterer {
   /// Heartbeat monitor over the pool workers; destroyed before the pool.
   std::unique_ptr<Watchdog> watchdog_;
 
-  std::vector<PointRec> points_;
+  /// Routing record per global id (caller thread only), and the record
+  /// pages a delete has touched since the last publish.
+  std::vector<ShardedSnapshot::Route> points_;
+  SnapshotDirtySet route_dirty_;
   int64_t alive_ = 0;
 
   /// Warmup buffer: the op stream before the partition is fixed.

@@ -5,37 +5,60 @@
 #include <utility>
 
 #include "common/check.h"
+#include "telemetry/metrics.h"
 
 namespace ddc {
 
 ShardedSnapshot::ShardedSnapshot(
-    uint64_t epoch, std::vector<GidRec> points, int64_t alive,
+    uint64_t epoch, const std::vector<Route>& routes, int64_t alive,
+    const ShardedSnapshot* prev, const SnapshotDirtySet& dirty,
     std::vector<std::shared_ptr<const GridSnapshot>> shards,
-    std::vector<FlatHashMap<PointId, PointId>> local_of,
     std::shared_ptr<const BoundaryStitcher::LabelTable> stitch)
     : ClusterSnapshot(epoch),
-      points_(std::move(points)),
+      num_ids_(static_cast<int64_t>(routes.size())),
       alive_(alive),
       shards_(std::move(shards)),
-      local_of_(std::move(local_of)),
       stitch_(std::move(stitch)) {
-  DDC_CHECK(shards_.size() == local_of_.size());
   DDC_CHECK(stitch_ != nullptr);
+  const int64_t num_pages = (num_ids_ + kPageSize - 1) >> kPageBits;
+  // Global ids only ever grow, so the pages from the one holding `prev`'s
+  // first unborn id on are the tail, new since `prev`; every page before
+  // it is shared unless a delete dirtied it.
+  int64_t tail = 0;
+  pages_.reserve(static_cast<size_t>(num_pages));
+  if (prev != nullptr) {
+    DDC_DCHECK(prev->num_ids_ <= num_ids_);
+    pages_.assign(prev->pages_.begin(), prev->pages_.end());
+    tail = num_ids_ > prev->num_ids_ ? prev->num_ids_ >> kPageBits
+                                     : num_pages;
+  }
+  pages_.resize(static_cast<size_t>(num_pages));
+  int64_t rebuilt = 0;
+  for (int64_t pg = 0; pg < num_pages; ++pg) {
+    if (pg < tail && !dirty.page(pg)) continue;
+    auto page = std::make_shared<RoutePage>();
+    const int64_t first = pg << kPageBits;
+    std::copy_n(routes.begin() + first,
+                std::min<int64_t>(kPageSize, num_ids_ - first), page->routes);
+    pages_[pg] = std::move(page);
+    ++rebuilt;
+  }
+  DDC_COUNTER_ADD("engine.route_pages_rebuilt", rebuilt);
+  DDC_COUNTER_ADD("engine.route_pages_reused", num_pages - rebuilt);
 }
 
 void ShardedSnapshot::Labels(PointId id,
                              std::vector<ClusterLabel>* out) const {
-  const GidRec& rec = points_[id];
+  const Route& rec = route(id);
   const GridSnapshot& owner = *shards_[rec.owner];
-  const PointId* owner_local = local_of_[rec.owner].Find(id);
-  DDC_CHECK(owner_local != nullptr);
+  const PointId owner_local = rec.local_in(rec.owner);
 
-  if (owner.is_core(*owner_local)) {
+  if (owner.is_core(owner_local)) {
     // Core status is owned by the owner shard — it alone sees the point's
     // full (1+ρ)ε neighborhood — and a core point belongs to exactly one
     // cluster: its owner-side component, canonicalized through the stitch.
     out->push_back(
-        stitch_->Resolve(rec.owner, owner.CoreLabelOf(*owner_local)));
+        stitch_->Resolve(rec.owner, owner.CoreLabelOf(owner_local)));
     return;
   }
 
@@ -44,11 +67,8 @@ void ShardedSnapshot::Labels(PointId id,
   // attachment (core point w within ε) is realized in owner(w)'s shard,
   // which also holds this point — so the union is complete; the stitch
   // collapses the per-shard labels of one cluster into one.
-  for (int t = rec.first_holder; t <= rec.last_holder; ++t) {
-    const GridSnapshot& s = *shards_[t];
-    const PointId* local = local_of_[t].Find(id);
-    DDC_CHECK(local != nullptr);
-    s.ForEachMembershipLabel(*local, [&](uint64_t cc) {
+  for (int t = rec.first; t <= rec.last; ++t) {
+    shards_[t]->ForEachMembershipLabel(rec.local_in(t), [&](uint64_t cc) {
       out->push_back(stitch_->Resolve(t, cc));
     });
   }

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/flat_hash.h"
 #include "core/cluster_snapshot.h"
 #include "engine/stitch.h"
 
@@ -13,32 +12,55 @@ namespace ddc {
 
 /// The sharded engine's frozen epoch: S per-shard GridSnapshots (in each
 /// shard's local id space), the stitch label table of the same epoch, and
-/// the routing records translating global ids to owners/holders/local ids.
-/// Composed by ShardedClusterer::Flush while the workers are quiescent and
-/// published by an atomic shared_ptr swap — readers resolve every query
-/// against this object alone, so they never synchronize with ingest,
-/// workers, or later stitch rebuilds.
+/// the routing record of every global id, which names the point's owner,
+/// its holders and its local id in each holder. Composed by
+/// ShardedClusterer::Flush while the workers are quiescent and published by
+/// an atomic shared_ptr swap — readers resolve every query against this
+/// object alone, so they never synchronize with ingest, workers, or later
+/// stitch rebuilds.
+///
+/// The routing records live in pages of kPageSize global ids that
+/// consecutive epochs share, like GridSnapshot's point pages. Composing an
+/// epoch copies the previous epoch's page table and rebuilds, into fresh
+/// pages, only the pages with a delete since then (the `dirty` set) and the
+/// tail pages holding ids inserted since; it never writes a page a
+/// published snapshot holds. A publish therefore copies O(pages) pointers
+/// and O(dirty pages) records, not a record per id ever inserted.
 class ShardedSnapshot final : public ClusterSnapshot {
  public:
-  /// Frozen routing record of one global id.
-  struct GidRec {
+  static constexpr int kPageBits = SnapshotDirtySet::kPageBits;
+  static constexpr int kPageSize = SnapshotDirtySet::kPageSize;
+
+  /// Routing record of one global id: its owner shard and its holders, the
+  /// shard range [first, last] — the owner plus at most one neighbor (see
+  /// ShardMap) — with the point's local id in each holder. The ingest
+  /// thread fills it when it routes the insert and clears `alive` on
+  /// delete; the holders' grids hand out exactly these local ids.
+  struct Route {
+    PointId local[2] = {kInvalidPoint, kInvalidPoint};  // In first + i.
     uint8_t owner = 0;
-    uint8_t first_holder = 0;
-    uint8_t last_holder = 0;
+    uint8_t first = 0;
+    uint8_t last = 0;
     bool alive = false;
+
+    /// The point's local id in holder shard `shard`.
+    PointId local_in(int shard) const { return local[shard - first]; }
   };
 
-  ShardedSnapshot(
-      uint64_t epoch, std::vector<GidRec> points, int64_t alive,
-      std::vector<std::shared_ptr<const GridSnapshot>> shards,
-      std::vector<FlatHashMap<PointId, PointId>> local_of,
-      std::shared_ptr<const BoundaryStitcher::LabelTable> stitch);
+  /// Composes the epoch. `routes` is the ingest thread's live record table,
+  /// indexed by global id; `prev` is the previous published epoch (null for
+  /// the first), whose pages are shared unless `dirty` marks them or they
+  /// hold ids inserted since.
+  ShardedSnapshot(uint64_t epoch, const std::vector<Route>& routes,
+                  int64_t alive, const ShardedSnapshot* prev,
+                  const SnapshotDirtySet& dirty,
+                  std::vector<std::shared_ptr<const GridSnapshot>> shards,
+                  std::shared_ptr<const BoundaryStitcher::LabelTable> stitch);
 
   CGroupByResult Query(const std::vector<PointId>& q) const override;
 
   bool alive(PointId id) const override {
-    return id >= 0 && id < static_cast<PointId>(points_.size()) &&
-           points_[id].alive;
+    return id >= 0 && id < num_ids_ && route(id).alive;
   }
   int64_t size() const override { return alive_; }
 
@@ -56,10 +78,18 @@ class ShardedSnapshot final : public ClusterSnapshot {
   bool SameCluster(PointId a, PointId b) const;
 
  private:
-  std::vector<GidRec> points_;
+  struct RoutePage {
+    Route routes[kPageSize];
+  };
+
+  const Route& route(PointId id) const {
+    return pages_[id >> kPageBits]->routes[id & (kPageSize - 1)];
+  }
+
+  int64_t num_ids_ = 0;  // Global ids ever inserted at this epoch.
   int64_t alive_ = 0;
+  std::vector<std::shared_ptr<const RoutePage>> pages_;
   std::vector<std::shared_ptr<const GridSnapshot>> shards_;
-  std::vector<FlatHashMap<PointId, PointId>> local_of_;  // Per shard.
   std::shared_ptr<const BoundaryStitcher::LabelTable> stitch_;
 };
 

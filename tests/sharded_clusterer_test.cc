@@ -1,13 +1,18 @@
+#include <atomic>
 #include <cmath>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "core/fully_dynamic_clusterer.h"
 #include "engine/sharded_clusterer.h"
+#include "engine/sharded_snapshot.h"
 #include "scenario/scenario.h"
 #include "telemetry/metrics.h"
 #include "tests/test_util.h"
@@ -197,6 +202,378 @@ TEST(ShardedClustererTest, InterleavedFlushesMatchOracleAtEveryShardCount) {
       ASSERT_EQ(reported, oracle) << "at update " << updates;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Published epochs: routing records in copy-on-write pages
+
+std::shared_ptr<const ShardedSnapshot> Published(
+    const ShardedClusterer& engine) {
+  return std::static_pointer_cast<const ShardedSnapshot>(
+      engine.CurrentSnapshot());
+}
+
+/// Everything a snapshot answers about global ids [0, n): the point API
+/// per id, the alive count and one Query over all of them.
+struct Answers {
+  std::vector<bool> alive;
+  std::vector<ClusterLabel> labels;
+  int64_t size = 0;
+  CGroupByResult query;
+};
+
+Answers AnswersOf(const ShardedSnapshot& snap, PointId n) {
+  Answers a;
+  std::vector<PointId> all(static_cast<size_t>(n));
+  std::iota(all.begin(), all.end(), 0);
+  for (const PointId id : all) {
+    a.alive.push_back(snap.alive(id));
+    a.labels.push_back(snap.LabelOf(id));
+  }
+  a.size = snap.size();
+  a.query = snap.Query(all);
+  return a;
+}
+
+/// `snap` still answers exactly `want`, which it answered when published.
+void ExpectSameAnswers(const Answers& want, const ShardedSnapshot& snap) {
+  const Answers got =
+      AnswersOf(snap, static_cast<PointId>(want.alive.size()));
+  EXPECT_EQ(got.size, want.size);
+  EXPECT_EQ(got.query, want.query);
+  for (size_t id = 0; id < want.alive.size(); ++id) {
+    EXPECT_EQ(got.alive[id], want.alive[id]) << "id " << id;
+    EXPECT_TRUE(got.labels[id] == want.labels[id]) << "id " << id;
+  }
+}
+
+/// Counts the route pages the next publishes rebuild and reuse.
+struct RoutePageCounts {
+  RoutePageCounts() { Reset(); }
+  void Reset() {
+    rebuilt0 = Value("engine.route_pages_rebuilt");
+    reused0 = Value("engine.route_pages_reused");
+  }
+  int64_t rebuilt() const {
+    return Value("engine.route_pages_rebuilt") - rebuilt0;
+  }
+  int64_t reused() const {
+    return Value("engine.route_pages_reused") - reused0;
+  }
+  static int64_t Value(const char* name) {
+    return MetricsRegistry::Instance().ValueOf(name);
+  }
+  int64_t rebuilt0 = 0;
+  int64_t reused0 = 0;
+};
+
+/// Ids are insertion indices here (nothing else inserts), so the engine's
+/// reported groups compare directly with exact DBSCAN over the alive ones.
+void ExpectExactDbscan(ShardedClusterer& engine,
+                       const std::vector<Point>& points,
+                       const std::vector<PointId>& ids,
+                       const DbscanParams& params) {
+  ASSERT_EQ(params.rho, 0);
+  EXPECT_EQ(RemapToInsertionIndex(engine.QueryAll(), ids),
+            OracleOverAlive(points, ids, params));
+}
+
+/// A snapshot held across later publishes keeps answering for its own
+/// epoch: the publishes delete its ids (on a shared page and on its tail
+/// page), insert into its tail page, and add new two-holder points at every
+/// cut, and none of that may write a page it holds.
+TEST(ShardedClustererTest, HeldSnapshotAnswersForItsEpochAcrossPublishes) {
+  const DbscanParams params{.dim = 2, .eps = 6.0, .min_pts = 3, .rho = 0};
+  ShardedClusterer engine(params, SmallOptions(4));
+  Rng rng(41);
+  std::vector<Point> points;
+  std::vector<PointId> ids;
+  auto insert = [&](double x, double y) {
+    points.push_back(Point{x, y});
+    ids.push_back(engine.Insert(points.back()));
+    EXPECT_EQ(ids.back(), static_cast<PointId>(points.size()) - 1);
+  };
+  auto erase = [&](PointId id) {
+    engine.Delete(id);
+    ids[id] = kInvalidPoint;
+  };
+  // A blob of `n` points within 3 of (x, 20) on each axis: core points,
+  // with two holders when x is a cut.
+  auto blob = [&](double x, int n) {
+    for (int i = 0; i < n; ++i) {
+      insert(x + rng.NextDouble(-3, 3), 20 + rng.NextDouble(-3, 3));
+    }
+  };
+
+  // The 64-insert warmup spans [0, 400] on dimension 0: cuts 100, 200, 300.
+  insert(0, 0);
+  insert(400, 0);
+  for (int i = 0; i < 50; ++i) {
+    insert(rng.NextDouble(0, 400), rng.NextDouble(0, 40));
+  }
+  for (const double cut : {100.0, 200.0, 300.0}) blob(cut, 10);
+  engine.Flush();
+  ASSERT_EQ(engine.shard_map().cuts(), (std::vector<double>{100, 200, 300}));
+  ASSERT_EQ(points.size(), 82u);  // Page 0 full, page 1 (its tail) 18 ids.
+  EXPECT_GT(engine.num_boundary_points(), 0);
+  ExpectExactDbscan(engine, points, ids, params);
+
+  const std::shared_ptr<const ShardedSnapshot> held = Published(engine);
+  const PointId held_ids = static_cast<PointId>(points.size());
+  // Ask about a few unborn ids too: they must stay unknown to `held`.
+  const Answers want = AnswersOf(*held, held_ids + 70);
+
+  // Publish 1: deletes only — on the shared page 0 (a blob member at the
+  // 100 cut and two sparse points) and on the tail page.
+  const std::vector<PointId> deleted = {5, 17, 52, 70, 81};
+  for (const PointId id : deleted) erase(id);
+  engine.Flush();
+  for (const PointId id : deleted) ASSERT_FALSE(Published(engine)->alive(id));
+  ExpectExactDbscan(engine, points, ids, params);
+  ExpectSameAnswers(want, *held);
+
+  // Publish 2: inserts into the held epoch's tail page, two-holder points
+  // among them, up to id 95.
+  for (const double cut : {100.0, 200.0, 300.0}) blob(cut, 4);
+  blob(150, 2);
+  engine.Flush();
+  ASSERT_EQ(points.size(), 96u);
+  ExpectExactDbscan(engine, points, ids, params);
+  ExpectSameAnswers(want, *held);
+
+  // Publish 3: new two-holder points at every cut, past the held tail page,
+  // plus deletes of held ids on both of its pages.
+  for (const double cut : {100.0, 200.0, 300.0}) blob(cut, 12);
+  for (const PointId id : {3, 60, 66}) erase(id);
+  engine.Flush();
+  ExpectExactDbscan(engine, points, ids, params);
+  ExpectSameAnswers(want, *held);
+
+  // Publish 4: delete every point the held epoch did not know.
+  for (PointId id = held_ids; id < static_cast<PointId>(points.size());
+       ++id) {
+    erase(id);
+  }
+  engine.Flush();
+  ExpectExactDbscan(engine, points, ids, params);
+  ExpectSameAnswers(want, *held);
+  EXPECT_LT(held->epoch(), Published(engine)->epoch());
+}
+
+/// Ids 63, 64 and 65 straddle the first page boundary. Each publish
+/// rebuilds exactly the page its deletes or new ids touch, and every held
+/// epoch keeps its own view of the three ids.
+TEST(ShardedClustererTest, RoutePagesSplitAtIdSixtyFour) {
+  const DbscanParams params{.dim = 2, .eps = 6.0, .min_pts = 3, .rho = 0};
+  ShardedClusterer::Options options = SmallOptions(4);
+  options.warmup = 8;
+  ShardedClusterer engine(params, options);
+  std::vector<Point> points;
+  std::vector<PointId> ids;
+  auto insert = [&] {
+    // A line with spacing 5 < eps, so every point is core and the line is
+    // one cluster across every cut; the warmup spans [0, 400].
+    const int k = static_cast<int>(points.size());
+    points.push_back(Point{k < 8 ? 400.0 * k / 7 : 5.0 * (k % 80), 1.0});
+    ids.push_back(engine.Insert(points.back()));
+  };
+  auto erase = [&](PointId id) {
+    engine.Delete(id);
+    ids[id] = kInvalidPoint;
+  };
+
+  struct Held {
+    std::shared_ptr<const ShardedSnapshot> snap;
+    Answers want;
+  };
+  std::vector<Held> held;
+  RoutePageCounts counts;
+  // Flushes, checks the publish rebuilt `rebuilt` pages and reused the
+  // rest, then checks every held epoch against what it first answered.
+  auto publish = [&](int64_t rebuilt, int64_t pages) {
+    counts.Reset();
+    engine.Flush();
+    EXPECT_EQ(counts.rebuilt(), rebuilt);
+    EXPECT_EQ(counts.reused(), pages - rebuilt);
+    ExpectExactDbscan(engine, points, ids, params);
+    const std::shared_ptr<const ShardedSnapshot> snap = Published(engine);
+    for (PointId id = 0; id < static_cast<PointId>(ids.size()); ++id) {
+      ASSERT_EQ(snap->alive(id), ids[id] != kInvalidPoint) << "id " << id;
+    }
+    held.push_back(Held{snap, AnswersOf(*snap, 70)});
+    for (const Held& h : held) ExpectSameAnswers(h.want, *h.snap);
+  };
+
+  while (points.size() < 64) insert();
+  publish(/*rebuilt=*/1, /*pages=*/1);  // Ids 0-63: page 0, full.
+  insert();
+  publish(1, 2);  // Id 64 opens page 1.
+  insert();
+  publish(1, 2);  // Id 65: page 1 again, as the tail.
+  erase(63);
+  publish(1, 2);  // A delete-only epoch on page 0.
+  erase(64);
+  publish(1, 2);  // ... and on page 1.
+  erase(65);
+  insert();
+  publish(1, 2);  // A delete and a new id on the same page.
+  erase(62);
+  erase(66);
+  publish(2, 2);
+  EXPECT_EQ(engine.size(), 62);
+}
+
+/// One delete among 10k ids rebuilds at most two route pages at the next
+/// publish (one, in fact: its own); a delete-only epoch rebuilds exactly
+/// the pages its deletes touched.
+TEST(ShardedClustererTest, DeleteOnlyEpochRebuildsOnlyTouchedPages) {
+  const DbscanParams params{.dim = 2, .eps = 20.0, .min_pts = 4,
+                            .rho = 0.001};
+  ShardedClusterer engine(params, SmallOptions(4));
+  Rng rng(43);
+  for (int i = 0; i < 10000; ++i) {
+    engine.Insert(Point{rng.NextDouble(0, 4000), rng.NextDouble(0, 400)});
+  }
+  engine.Flush();
+  const std::shared_ptr<const ShardedSnapshot> before = Published(engine);
+  const int64_t pages = (10000 + 63) / 64;
+
+  RoutePageCounts counts;
+  engine.Delete(5000);
+  engine.Flush();
+  EXPECT_LE(counts.rebuilt(), 2);
+  EXPECT_GE(counts.reused(), pages - 2);
+  EXPECT_EQ(counts.rebuilt() + counts.reused(), pages);
+  const std::shared_ptr<const ShardedSnapshot> after = Published(engine);
+  EXPECT_TRUE(before->alive(5000));
+  EXPECT_FALSE(after->alive(5000));
+  EXPECT_EQ(after->size(), before->size() - 1);
+
+  counts.Reset();
+  for (const PointId id : {0, 1, 63, 640, 641, 9999}) engine.Delete(id);
+  engine.Flush();
+  EXPECT_EQ(counts.rebuilt(), 3);  // Pages 0, 10 and 156.
+  EXPECT_EQ(counts.reused(), pages - 3);
+  for (const PointId id : {0, 1, 63, 640, 641, 9999}) {
+    EXPECT_TRUE(after->alive(id));
+    EXPECT_FALSE(Published(engine)->alive(id));
+  }
+  EXPECT_TRUE(Published(engine)->alive(64));
+  EXPECT_TRUE(Published(engine)->alive(9998));
+}
+
+/// Local ids are assigned when a point is routed, so the warmup replay
+/// assigns them too: deletes buffered during warmup, and a partition fixed
+/// at the first insert (warmup=0, where the slabs sit at the 2·halo floor
+/// and many points have two holders), both stay verbatim exact DBSCAN.
+TEST(ShardedClustererTest, WarmupDeletesAndZeroWarmupStayExact) {
+  const DbscanParams params{.dim = 2, .eps = 8.0, .min_pts = 3, .rho = 0};
+  for (const int warmup : {0, 64}) {
+    SCOPED_TRACE(warmup);
+    ShardedClusterer::Options options = SmallOptions(4);
+    options.warmup = warmup;
+    ShardedClusterer engine(params, options);
+    Rng rng(47);
+    std::vector<Point> points;
+    std::vector<PointId> ids;
+    std::vector<PointId> alive;
+    for (int step = 0; step < 600; ++step) {
+      if (alive.size() > 4 && rng.NextBernoulli(0.3)) {
+        const size_t k = rng.NextBelow(alive.size());
+        engine.Delete(alive[k]);
+        ids[alive[k]] = kInvalidPoint;
+        alive[k] = alive.back();
+        alive.pop_back();
+      } else {
+        // Clumps along x in [0, 120): 2·halo is 16, so with warmup=0 the
+        // slabs are 16 wide and the clumps cross several cuts.
+        const double x = 12.0 * static_cast<double>(rng.NextBelow(10)) +
+                         rng.NextDouble(0, 6);
+        points.push_back(Point{x, rng.NextDouble(0, 6)});
+        ids.push_back(engine.Insert(points.back()));
+        alive.push_back(ids.back());
+      }
+      if (warmup == 0) {
+        ASSERT_TRUE(engine.shard_map().initialized());
+      }
+      if (warmup == 64 && step == 50) {
+        // Some deletes came before the partition was fixed.
+        ASSERT_FALSE(engine.shard_map().initialized());
+        ASSERT_LT(alive.size(), points.size());
+      }
+      if (step % 97 == 96 || step == 599) {
+        ExpectExactDbscan(engine, points, ids, params);
+      }
+    }
+    if (warmup == 0) {
+      EXPECT_DOUBLE_EQ(engine.shard_map().slab_width(),
+                       2 * params.eps_outer());
+      EXPECT_GT(engine.num_boundary_points(), 0);
+    }
+  }
+}
+
+/// Two reader threads re-query epochs published earlier while the ingest
+/// thread keeps publishing new ones (which rebuild pages, never the ones
+/// an older epoch holds): every answer equals the one taken at publish.
+TEST(ShardedClustererTest, ReadersQueryOldEpochsWhileIngestPublishes) {
+  const DbscanParams params{.dim = 2, .eps = 110.0, .min_pts = 5,
+                            .rho = 0.001};
+  const Workload w = BuildScenarioWorkload(
+      "hotspot:n=1500,clusters=3,cold=3,band=0.2,dim=2,extent=2500,qevery=0",
+      53);
+  ShardedClusterer engine(params, SmallOptions(4));
+
+  struct Epoch {
+    std::shared_ptr<const ShardedSnapshot> snap;
+    std::vector<PointId> q;
+    CGroupByResult want;
+  };
+  std::mutex mu;
+  std::vector<std::shared_ptr<const Epoch>> epochs;  // Guarded by mu.
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> checks{0}, mismatches{0};
+  auto reader = [&](uint64_t seed) {
+    Rng rng(seed);
+    while (!done.load(std::memory_order_acquire)) {
+      std::shared_ptr<const Epoch> e;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!epochs.empty()) e = epochs[rng.NextBelow(epochs.size())];
+      }
+      if (e == nullptr) {
+        std::this_thread::yield();
+        continue;
+      }
+      if (!(e->snap->Query(e->q) == e->want)) mismatches.fetch_add(1);
+      checks.fetch_add(1);
+    }
+  };
+  std::thread r1(reader, 1), r2(reader, 2);
+
+  std::vector<PointId> ids(w.points.size(), kInvalidPoint);
+  int64_t updates = 0;
+  for (const Operation& op : w.ops) {
+    if (op.type == Operation::Type::kQuery) continue;
+    ApplyOp(engine, w, op, ids);
+    if (++updates % 25 != 0) continue;
+    engine.Flush();
+    auto e = std::make_shared<Epoch>();
+    e->snap = Published(engine);
+    e->q.resize(ids.size() + 64);  // Unborn ids included.
+    std::iota(e->q.begin(), e->q.end(), 0);
+    e->want = e->snap->Query(e->q);
+    std::lock_guard<std::mutex> lock(mu);
+    epochs.push_back(std::move(e));
+  }
+  // Let the readers check old epochs for a while after the last publish.
+  while (checks.load() < 200) std::this_thread::yield();
+  done.store(true, std::memory_order_release);
+  r1.join();
+  r2.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(checks.load(), 200);
+  EXPECT_GE(epochs.size(), 50u);
 }
 
 }  // namespace
