@@ -6,7 +6,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "common/flat_hash.h"
 #include "common/random.h"
@@ -121,18 +123,23 @@ void BM_Grid_InsertDelete(benchmark::State& state) {
 }
 BENCHMARK(BM_Grid_InsertDelete)->Arg(2)->Arg(3)->Arg(7);
 
+// 200 core points of one cell, probed from its ε-neighbourhood: the box
+// prefilter answers the far probes, the scan the near ones.
 void BM_Emptiness_Query(benchmark::State& state) {
-  const bool subgrid = state.range(0) == 1;
   DbscanParams params{.dim = 3, .eps = 300.0, .min_pts = 10, .rho = 0.001};
   Grid grid(3, params.eps);
-  auto s = MakeEmptinessStructure(
-      subgrid ? EmptinessKind::kSubGrid : EmptinessKind::kBruteForce, &grid,
-      params);
+  std::vector<int32_t> slots;
   Rng rng(6);
+  std::unique_ptr<CellEmptiness> s;
   for (int i = 0; i < 200; ++i) {
     Point p;
     for (int k = 0; k < 3; ++k) p[k] = rng.NextDouble(0, grid.side());
-    s->Insert(grid.Insert(p).id);
+    const Grid::InsertResult ins = grid.Insert(p);
+    if (s == nullptr) {
+      s = std::make_unique<CellEmptiness>(&grid, params,
+                                          grid.cell_box(ins.cell), &slots);
+    }
+    s->Insert(ins.id);
   }
   for (auto _ : state) {
     Point q;
@@ -140,20 +147,17 @@ void BM_Emptiness_Query(benchmark::State& state) {
     benchmark::DoNotOptimize(s->Query(q));
   }
 }
-BENCHMARK(BM_Emptiness_Query)->Arg(0)->Arg(1);
+BENCHMARK(BM_Emptiness_Query);
 
 void BM_Counter_Count(benchmark::State& state) {
-  const bool subgrid = state.range(0) == 1;
   DbscanParams params{.dim = 3, .eps = 300.0, .min_pts = 10, .rho = 0.001};
   Grid grid(3, params.eps);
-  ApproxRangeCounter counter(
-      &grid, params, subgrid ? CounterKind::kSubGrid : CounterKind::kExact);
+  ApproxRangeCounter counter(&grid, params);
   Rng rng(7);
   for (int i = 0; i < 5000; ++i) {
     Point p;
     for (int k = 0; k < 3; ++k) p[k] = rng.NextDouble(0, 3000.0);
-    const auto ins = grid.Insert(p);
-    counter.OnInsert(ins.id, ins.cell);
+    grid.Insert(p);
   }
   for (auto _ : state) {
     Point q;
@@ -161,7 +165,7 @@ void BM_Counter_Count(benchmark::State& state) {
     benchmark::DoNotOptimize(counter.Count(q, params.min_pts));
   }
 }
-BENCHMARK(BM_Counter_Count)->Arg(0)->Arg(1);
+BENCHMARK(BM_Counter_Count);
 
 // --- Hash-table layout: FlatHashMap vs std::unordered_map -------------------
 // The access pattern mirrors the clusterer hot paths: tables keyed by packed
@@ -225,7 +229,7 @@ void BM_StdUnorderedMap_LookupHit(benchmark::State& state) {
 }
 BENCHMARK(BM_StdUnorderedMap_LookupHit)->Arg(1024)->Arg(65536);
 
-// CellKey-keyed tables are the hot case (cell index, sub-grid buckets): the
+// CellKey-keyed tables are the hot case (the grid's cell index): the
 // key is 32 bytes, the hash is 8 mixes, and the flat table both caches the
 // hash per slot and accepts it precomputed (FindHashed) the way the grid
 // threads it through each operation.

@@ -1,5 +1,8 @@
 #include "common/flags.h"
 
+#include <cerrno>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -23,14 +26,43 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
+namespace {
+
+/// Aborts naming the flag and its value: a number that parses only in part
+/// (`--n=2k` as 2) or not at all (`--budget=abc` as 0) would otherwise run
+/// a different experiment than the one asked for.
+void MalformedNumber(const std::string& name, const std::string& value,
+                     const char* what) {
+  std::fprintf(stderr, "flag --%s=%s is not %s\n", name.c_str(),
+               value.c_str(), what);
+  DDC_CHECK(false && "malformed numeric flag");
+}
+
+}  // namespace
+
 int64_t Flags::GetInt(const std::string& name, int64_t def) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return def;
+  const std::string& raw = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(raw.c_str(), &end, 10);
+  if (raw.empty() || end != raw.c_str() + raw.size() || errno != 0) {
+    MalformedNumber(name, raw, "an integer");
+  }
+  return static_cast<int64_t>(value);
 }
 
 double Flags::GetDouble(const std::string& name, double def) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return def;
+  const std::string& raw = it->second;
+  char* end = nullptr;
+  const double value = std::strtod(raw.c_str(), &end);
+  if (raw.empty() || end != raw.c_str() + raw.size() || !std::isfinite(value)) {
+    MalformedNumber(name, raw, "a finite number");
+  }
+  return value;
 }
 
 std::string Flags::GetString(const std::string& name,

@@ -18,7 +18,9 @@ class Flags {
   /// Unknown flags are kept and readable; malformed arguments abort.
   Flags(int argc, char** argv);
 
-  /// Returns the flag value or `def` when the flag is absent.
+  /// Returns the flag value or `def` when the flag is absent. A numeric
+  /// value must parse whole (a double must also be finite): otherwise the
+  /// call aborts, naming the flag and its value.
   int64_t GetInt(const std::string& name, int64_t def) const;
   double GetDouble(const std::string& name, double def) const;
   std::string GetString(const std::string& name, const std::string& def) const;

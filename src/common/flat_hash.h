@@ -14,8 +14,8 @@ namespace ddc {
 
 /// Header-only open-addressing hash containers for the hot paths.
 ///
-/// Every table the update loop touches per operation (cell index, sub-grid
-/// counts, aBCP instances, grid-graph edges, HDT adjacency) was a node-based
+/// Every table the update loop touches per operation (cell index,
+/// grid-graph edges, HDT adjacency) was a node-based
 /// std::unordered_map: one allocation per entry, a pointer chase per probe,
 /// and a modulo per lookup. FlatHashMap/FlatHashSet store entries inline in
 /// a single power-of-two array:

@@ -6,13 +6,15 @@
 #include <vector>
 
 #include "common/flat_hash.h"
-#include "connectivity/dynamic_connectivity.h"
 #include "connectivity/euler_tour_tree.h"
 
 namespace ddc {
 
 /// Holm–de Lichtenberg–Thorup fully dynamic connectivity [14]: the CC
-/// structure behind Theorem 4. Poly-logarithmic amortized time per edge
+/// structure of the paper's framework (Section 4.2) behind Theorem 4. It
+/// maintains the connected components of the grid graph under edge
+/// insertions and removals and answers CC-Id; vertices are dense integer ids
+/// (cell ids in the clusterer). Poly-logarithmic amortized time per edge
 /// insertion/deletion and per query.
 ///
 /// Every edge carries a level; F_i is a spanning forest of the edges with
@@ -21,17 +23,34 @@ namespace ddc {
 /// yielding a replacement are pushed one level up (the amortization), with
 /// the invariant that a level-i tree has at most n/2^i vertices — the
 /// smaller side of the cut is always the one whose edges get pushed.
-class HdtConnectivity : public DynamicConnectivity {
+class HdtConnectivity {
  public:
   HdtConnectivity();
 
-  void EnsureVertices(int n) override;
-  void AddEdge(int u, int v) override;
-  void RemoveEdge(int u, int v) override;
-  bool Connected(int u, int v) override;
-  uint64_t ComponentId(int v) override;
-  uint64_t ComponentIdReadOnly(int v) const override;
-  int num_vertices() const override { return n_; }
+  /// Grows the vertex universe so ids [0, n) are valid (new ids isolated).
+  void EnsureVertices(int n);
+
+  /// Adds edge {u, v}. The edge must not be present; u != v.
+  void AddEdge(int u, int v);
+
+  /// Removes edge {u, v}. The edge must be present.
+  void RemoveEdge(int u, int v);
+
+  /// True when u and v are in the same component.
+  bool Connected(int u, int v);
+
+  /// An identifier of v's component. Two vertices share a component iff
+  /// their ids are equal. Ids are stable between modifications but may be
+  /// reassigned by any AddEdge/RemoveEdge.
+  uint64_t ComponentId(int v);
+
+  /// ComponentId as a mutation-free lookup (no splaying, no lazy
+  /// materialization): safe to call while building a frozen snapshot.
+  /// Agrees with ComponentId(v) between modifications.
+  uint64_t ComponentIdReadOnly(int v) const;
+
+  /// Number of vertices currently in the universe.
+  int num_vertices() const { return n_; }
 
   /// Total number of edges currently stored (tree + non-tree).
   int64_t num_edges() const { return static_cast<int64_t>(edges_.size()); }

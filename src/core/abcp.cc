@@ -16,14 +16,14 @@ bool AbcpInstance::Initialize(const Grid& grid, CellCoreState& s1,
     small_is_c1 = false;
   }
   PointId found_small = kInvalidPoint, found_big = kInvalidPoint;
-  small->core_set->ForEach([&](PointId p) {
-    if (found_small != kInvalidPoint) return;
+  for (const PointId p : small->core_set->members()) {
     const PointId proof = big->core_set->Query(grid.point(p));
     if (proof != kInvalidPoint) {
       found_small = p;
       found_big = proof;
+      break;
     }
-  });
+  }
   if (found_small != kInvalidPoint) {
     w1_ = small_is_c1 ? found_small : found_big;
     w2_ = small_is_c1 ? found_big : found_small;

@@ -2,6 +2,7 @@
 #define DDC_CORE_ABCP_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/flat_hash.h"
@@ -18,7 +19,7 @@ namespace ddc {
 /// one cursor per side into this log, and "alive" entries are those whose
 /// point is still a core member of the cell.
 struct CellCoreState {
-  std::unique_ptr<EmptinessStructure> core_set;
+  std::unique_ptr<CellEmptiness> core_set;
   std::vector<PointId> log;
 
   /// ε-close core cells this cell currently runs an aBCP instance with,

@@ -236,7 +236,7 @@ class GridSnapshot final : public ClusterSnapshot {
 
   /// The emptiness miss prefilter of the live structures, on the frozen
   /// cell box: O(d) certainty that no member of the cell is within (1+ρ)ε.
-  /// Same formula and slack rule as BoxMiss in core/emptiness.cc.
+  /// Same formula and slack rule as CellEmptiness::Query's prefilter.
   bool BoxMiss(const CellBlock& b, const Point& p) const {
     return b.box.MinSquaredDistance(p, dim_) >
            eps_outer_sq_ * (1 + kBoxPrefilterSlack);

@@ -1,8 +1,7 @@
 #ifndef DDC_CORE_EMPTINESS_H_
 #define DDC_CORE_EMPTINESS_H_
 
-#include <functional>
-#include <memory>
+#include <cstdint>
 #include <vector>
 
 #include "core/params.h"
@@ -12,7 +11,7 @@
 
 namespace ddc {
 
-/// Per-cell structure over the *core points* of one core cell, answering the
+/// Structure over the *core points* of one grid cell, answering the
 /// ρ-approximate ε-emptiness query of Section 4.2:
 ///
 ///   empty(q, c) must return a proof point when some core point of c lies
@@ -21,66 +20,62 @@ namespace ddc {
 ///   always within (1+ρ)ε of q.
 ///
 /// The paper plugs in Arya et al.'s approximate nearest neighbor structure
-/// (Chan's structure for exact 2D). The don't-care band makes much simpler
-/// structures conforming; this library ships two (see DESIGN.md) and
-/// benchmarks them against each other in bench/ablation_emptiness.
-class EmptinessStructure {
+/// (Chan's structure for exact 2D). The don't-care band makes a flat scan
+/// conforming: a query returns the newest member within (1+ρ)ε, and any
+/// such member is a legal proof. A cell holds few core points next to the
+/// grid's cost of finding it, and a query first tests the cell's box: when
+/// even the box's nearest point is beyond (1+ρ)ε — the all-miss witness
+/// probes that would otherwise scan the entire member set — it answers in
+/// O(d).
+///
+/// Members are mirrored as packed coordinates (`dim` doubles per member, in
+/// member order), so a query streams memory sequentially. Each member's
+/// position lives in a per-point slot array shared by every structure of
+/// one clusterer (a point is a core member of at most one cell at a time),
+/// so membership bookkeeping is two array writes.
+class CellEmptiness {
  public:
-  virtual ~EmptinessStructure() = default;
+  /// `grid` provides point coordinates; `cell_box` bounds every member; the
+  /// `slot_registry` is shared by the clusterer's structures. `grid` and
+  /// `slot_registry` must outlive the structure; stale registry entries for
+  /// non-members are never trusted.
+  CellEmptiness(const Grid* grid, const DbscanParams& params,
+                const Box& cell_box, std::vector<int32_t>* slot_registry);
 
   /// Adds a core point (must not be present).
-  virtual void Insert(PointId p) = 0;
+  void Insert(PointId p);
 
   /// Removes a core point (must be present).
-  virtual void Remove(PointId p) = 0;
+  void Remove(PointId p);
 
   /// Number of core points in the structure.
-  virtual int size() const = 0;
+  int size() const { return static_cast<int>(members_.size()); }
+
+  /// The members, in insertion order up to swap-with-last removals.
+  const std::vector<PointId>& members() const { return members_; }
 
   /// True when `p` is currently a member (the aBCP log de-listing test).
-  virtual bool Contains(PointId p) const = 0;
+  /// A registry slot is validated against the member list, so a stale
+  /// entry can never pass.
+  bool Contains(PointId p) const {
+    if (static_cast<size_t>(p) >= slots_->size()) return false;
+    const int32_t i = (*slots_)[p];
+    return static_cast<size_t>(i) < members_.size() && members_[i] == p;
+  }
 
   /// The emptiness query: a core point within (1+ρ)ε of `q`, or
   /// kInvalidPoint. Guaranteed non-invalid when some member is within ε.
-  virtual PointId Query(const Point& q) const = 0;
+  PointId Query(const Point& q) const;
 
-  /// Invokes `fn` on every member (used to seed aBCP witness pairs).
-  virtual void ForEach(const std::function<void(PointId)>& fn) const = 0;
+ private:
+  const Grid* grid_;
+  int dim_;
+  double outer_sq_;
+  Box box_;
+  std::vector<int32_t>* slots_;
+  std::vector<PointId> members_;
+  std::vector<double> coords_;
 };
-
-/// Which emptiness implementation a clusterer uses.
-enum class EmptinessKind {
-  /// Flat array scan with early exit at the first point within (1+ρ)ε.
-  /// Conforming because any such point is a legal proof.
-  kBruteForce,
-  /// Members bucketed on a sub-grid of side ρε/(2√d); the query tests one
-  /// representative per occupied bucket against radius ε(1+ρ/2), which
-  /// over-approximates ε by at most half a don't-care band and
-  /// under-approximates (1+ρ)ε, hence conforming. Requires rho > 0; collapses
-  /// co-located points, which pays off at high densities.
-  kSubGrid,
-  /// A dynamic kd-tree with bounding-box pruning at radius (1+ρ)ε — the
-  /// closest structural analogue of the Arya et al. ANN structure the paper
-  /// cites. Exact at rho == 0 (where it is the only sublinear option).
-  kKdTree,
-};
-
-/// Creates an emptiness structure over core points of one cell. `grid` must
-/// outlive the structure and provides point coordinates. When `cell_box`
-/// (the bounds of the cell whose members the structure holds) is given, the
-/// scan-based implementations answer a query in O(d) whenever even the
-/// box's nearest point is beyond (1+ρ)ε — the all-miss witness probes that
-/// otherwise scan the entire member set.
-///
-/// `slot_registry`, when given, is a per-point slot array shared by every
-/// structure of one clusterer (a point is a core member of at most one cell
-/// at a time), turning the brute-force structure's member bookkeeping into
-/// two array writes instead of hash-map operations. It must outlive the
-/// structures; stale entries for non-members are never read.
-std::unique_ptr<EmptinessStructure> MakeEmptinessStructure(
-    EmptinessKind kind, const Grid* grid, const DbscanParams& params,
-    const Box* cell_box = nullptr,
-    std::vector<int32_t>* slot_registry = nullptr);
 
 }  // namespace ddc
 

@@ -6,14 +6,11 @@
 
 namespace ddc {
 
-FullyDynamicClusterer::FullyDynamicClusterer(const DbscanParams& params,
-                                             const Options& options)
+FullyDynamicClusterer::FullyDynamicClusterer(const DbscanParams& params)
     : params_(params),
-      options_(options),
       grid_(params.dim, params.eps),
-      counter_(&grid_, params, options.counter),
-      tracker_(&grid_, &counter_, params),
-      cc_(MakeConnectivity(options.connectivity)) {
+      counter_(&grid_, params),
+      tracker_(&grid_, &counter_, params) {
   params_.Validate();
 }
 
@@ -21,19 +18,19 @@ CellCoreState& FullyDynamicClusterer::State(CellId c) {
   DDC_DCHECK(static_cast<size_t>(c) < cells_.size());
   CellCoreState& s = cells_[c];
   if (s.core_set == nullptr) {
-    const Box box = grid_.cell_box(c);
-    s.core_set = MakeEmptinessStructure(options_.emptiness, &grid_, params_,
-                                        &box, &core_slots_);
+    s.core_set = std::make_unique<CellEmptiness>(&grid_, params_,
+                                                 grid_.cell_box(c),
+                                                 &core_slots_);
   }
   return s;
 }
 
 void FullyDynamicClusterer::SetEdge(CellId a, CellId b, bool present) {
   if (present) {
-    cc_->AddEdge(a, b);
+    cc_.AddEdge(a, b);
     ++num_edges_;
   } else {
-    cc_->RemoveEdge(a, b);
+    cc_.RemoveEdge(a, b);
     --num_edges_;
   }
 }
@@ -44,9 +41,8 @@ PointId FullyDynamicClusterer::Insert(const Point& p) {
   // cells_ (references into it stay valid).
   if (ins.cell_created) {
     cells_.resize(grid_.num_cells());
-    cc_->EnsureVertices(grid_.num_cells());
+    cc_.EnsureVertices(grid_.num_cells());
   }
-  counter_.OnInsert(ins.id, ins.cell);
   snapshot_cache_.MarkPoint(ins.id);
   tracker_.OnInsert(ins.id, ins.cell,
                     [this](PointId q, CellId c) { OnCorePromoted(q, c); });
@@ -65,7 +61,6 @@ void FullyDynamicClusterer::Delete(PointId id) {
   }
   grid_.Delete(id);
   snapshot_cache_.MarkPoint(id);
-  counter_.OnDelete(id, cell);
   // Remaining points may demote now that the counts dropped.
   tracker_.OnDelete(id, cell,
                     [this](PointId q, CellId c) { OnCoreDemoted(q, c); });
@@ -168,13 +163,13 @@ void FullyDynamicClusterer::OnCoreDemoted(PointId p, CellId cell) {
 std::shared_ptr<const ClusterSnapshot> FullyDynamicClusterer::Snapshot() {
   return snapshot_cache_.GetOrBuild(
       grid_, [this](PointId p) { return tracker_.is_core(p); },
-      [this](CellId c, PointId) { return cc_->ComponentIdReadOnly(c); },
+      [this](CellId c, PointId) { return cc_.ComponentIdReadOnly(c); },
       params_);
 }
 
 uint64_t FullyDynamicClusterer::CoreLabelOf(PointId p) {
   DDC_DCHECK(tracker_.is_core(p));
-  return cc_->ComponentId(grid_.cell_of(p));
+  return cc_.ComponentId(grid_.cell_of(p));
 }
 
 std::vector<PointId> FullyDynamicClusterer::AlivePoints() const {

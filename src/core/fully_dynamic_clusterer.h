@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/flat_hash.h"
-#include "connectivity/dynamic_connectivity.h"
+#include "connectivity/hdt.h"
 #include "core/abcp.h"
 #include "core/cluster_query.h"
 #include "core/cluster_snapshot.h"
@@ -26,27 +26,15 @@ namespace ddc {
 /// exact DBSCAN (the "2d-Full-Exact" configuration of the experiments).
 ///
 /// Composition (Sections 7.2–7.4): the relaxed core predicate is decided by
-/// an approximate range counter; every pair of ε-close core cells runs an
-/// aBCP instance whose witness pair *is* the grid-graph edge; edge
-/// appearances/disappearances feed a fully-dynamic connectivity structure
-/// (Holm–de Lichtenberg–Thorup by default). No BFS over points ever happens
-/// on deletion — the removal of IncDBSCAN's Achilles heel.
+/// a range counter (exact capped counts, which are conforming); every pair
+/// of ε-close core cells runs an aBCP instance over the cells' emptiness
+/// structures, whose witness pair *is* the grid-graph edge; edge
+/// appearances/disappearances feed Holm–de Lichtenberg–Thorup connectivity.
+/// No BFS over points ever happens on deletion — the removal of IncDBSCAN's
+/// Achilles heel.
 class FullyDynamicClusterer : public Clusterer {
  public:
-  /// Structure choices, benchmarked against each other in bench/ablation_*.
-  struct Options {
-    EmptinessKind emptiness = EmptinessKind::kBruteForce;
-    ConnectivityKind connectivity = ConnectivityKind::kHdt;
-    CounterKind counter = CounterKind::kExact;
-  };
-
-  explicit FullyDynamicClusterer(const DbscanParams& params,
-                                 const Options& options);
-
-  /// Default options: brute-force emptiness, HDT connectivity, exact
-  /// counting.
-  explicit FullyDynamicClusterer(const DbscanParams& params)
-      : FullyDynamicClusterer(params, Options{}) {}
+  explicit FullyDynamicClusterer(const DbscanParams& params);
 
   PointId Insert(const Point& p) override;
   void Delete(PointId id) override;
@@ -95,11 +83,10 @@ class FullyDynamicClusterer : public Clusterer {
   void SetEdge(CellId a, CellId b, bool present);
 
   DbscanParams params_;
-  Options options_;
   Grid grid_;
   ApproxRangeCounter counter_;
   RelaxedCoreTracker tracker_;
-  std::unique_ptr<DynamicConnectivity> cc_;
+  HdtConnectivity cc_;
   std::vector<CellCoreState> cells_;
   /// aBCP instance arena; slots are recycled through the free list and
   /// addressed by the PeerLink indices in CellCoreState.

@@ -29,9 +29,7 @@ namespace ddc {
 /// are never removed under insertions).
 class SemiDynamicClusterer : public Clusterer {
  public:
-  explicit SemiDynamicClusterer(
-      const DbscanParams& params,
-      EmptinessKind emptiness = EmptinessKind::kBruteForce);
+  explicit SemiDynamicClusterer(const DbscanParams& params);
 
   PointId Insert(const Point& p) override;
 
@@ -58,16 +56,15 @@ class SemiDynamicClusterer : public Clusterer {
   void OnNewCore(PointId p, CellId cell);
 
   /// Core points of cell `c` (creates the structure on first use).
-  EmptinessStructure* CoreSet(CellId c);
+  CellEmptiness* CoreSet(CellId c);
 
   static uint64_t EdgeKey(CellId a, CellId b);
 
   DbscanParams params_;
-  EmptinessKind emptiness_kind_;
   Grid grid_;
   VicinityTracker tracker_;
   UnionFind uf_;
-  std::vector<std::unique_ptr<EmptinessStructure>> cell_core_;
+  std::vector<std::unique_ptr<CellEmptiness>> cell_core_;
   /// Shared per-point slot registry for the cells' emptiness structures.
   std::vector<int32_t> core_slots_;
   FlatHashSet<uint64_t> edges_;

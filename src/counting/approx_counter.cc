@@ -1,69 +1,19 @@
 #include "counting/approx_counter.h"
 
-#include <cmath>
+#include <algorithm>
 
-#include "common/check.h"
 #include "geom/simd_kernels.h"
 
 namespace ddc {
 
 ApproxRangeCounter::ApproxRangeCounter(const Grid* grid,
-                                       const DbscanParams& params,
-                                       CounterKind kind)
-    : grid_(grid),
-      params_(params),
-      kind_(kind),
-      eps_sq_(params.eps * params.eps) {
-  if (kind_ == CounterKind::kSubGrid && params_.rho > 0) {
-    sub_side_ = params_.rho * params_.eps /
-                (2.0 * std::sqrt(static_cast<double>(params_.dim)));
-    const double t = params_.eps * (1 + params_.rho / 2);
-    test_radius_sq_ = t * t;
-  } else {
-    // Exact semantics (rho == 0 has no don't-care band to exploit).
-    kind_ = CounterKind::kExact;
-  }
-}
+                                       const DbscanParams& params)
+    : grid_(grid), dim_(params.dim), eps_sq_(params.eps * params.eps) {}
 
-CellKey ApproxRangeCounter::SubKey(const Point& p) const {
-  return CellKey::Of(p, params_.dim, sub_side_);
-}
-
-void ApproxRangeCounter::OnInsert(PointId p, CellId cell) {
-  if (kind_ != CounterKind::kSubGrid) return;
-  if (static_cast<size_t>(cell) >= buckets_.size()) {
-    buckets_.resize(grid_->num_cells());
-  }
-  const CellKey key = SubKey(grid_->point(p));
-  ++*buckets_[cell].counts.EmplaceHashed(key.Hash(), key).first;
-}
-
-void ApproxRangeCounter::OnDelete(PointId p, CellId cell) {
-  if (kind_ != CounterKind::kSubGrid) return;
-  DDC_CHECK(static_cast<size_t>(cell) < buckets_.size());
-  auto& counts = buckets_[cell].counts;
-  const CellKey key = SubKey(grid_->point(p));
-  const uint64_t hash = key.Hash();
-  int32_t* n = counts.FindHashed(hash, key);
-  DDC_CHECK(n != nullptr && *n > 0);
-  if (--*n == 0) counts.EraseHashed(hash, key);
-}
-
-int ApproxRangeCounter::Count(const Point& q, int cap) const {
-  return kind_ == CounterKind::kExact ? ExactCount(q, kInvalidCell, cap)
-                                      : SubGridCount(q, kInvalidCell, cap);
-}
-
-int ApproxRangeCounter::CountFromCell(const Point& q, CellId home,
-                                      int cap) const {
-  return kind_ == CounterKind::kExact ? ExactCount(q, home, cap)
-                                      : SubGridCount(q, home, cap);
-}
-
-int ApproxRangeCounter::ExactCount(const Point& q, CellId home,
-                                   int cap) const {
+int ApproxRangeCounter::CountNear(const Point& q, CellId home,
+                                  int cap) const {
   int count = 0;
-  const int dim = params_.dim;
+  const int dim = dim_;
   const auto visit = [&](CellId c, bool own) {
     if (count >= cap) return;
     const int n = grid_->cell_size(c);
@@ -104,31 +54,6 @@ int ApproxRangeCounter::ExactCount(const Point& q, CellId home,
     grid_->ForEachNearbyCellTagged(q, visit);
   }
   return count;
-}
-
-int ApproxRangeCounter::SubGridCount(const Point& q, CellId home,
-                                     int cap) const {
-  int count = 0;
-  const int dim = params_.dim;
-  const auto visit = [&](CellId c, bool) {
-    if (count >= cap || static_cast<size_t>(c) >= buckets_.size()) return;
-    for (const auto& [key, n] : buckets_[c].counts) {
-      Point center;
-      for (int i = 0; i < dim; ++i) {
-        center[i] = (key[i] + 0.5) * sub_side_;
-      }
-      if (WithinSquared(q, center, dim, test_radius_sq_)) {
-        count += n;
-        if (count >= cap) return;
-      }
-    }
-  };
-  if (home != kInvalidCell) {
-    grid_->ForEachNearbyCellOfTagged(home, visit);
-  } else {
-    grid_->ForEachNearbyCellTagged(q, visit);
-  }
-  return std::min(count, cap);
 }
 
 }  // namespace ddc

@@ -1,76 +1,46 @@
 #ifndef DDC_COUNTING_APPROX_COUNTER_H_
 #define DDC_COUNTING_APPROX_COUNTER_H_
 
-#include <vector>
-
-#include "common/flat_hash.h"
 #include "core/params.h"
 #include "geom/point.h"
-#include "grid/cell_key.h"
 #include "grid/grid.h"
 
 namespace ddc {
-
-/// Which counting implementation backs the relaxed core predicate.
-enum class CounterKind {
-  /// Exact |B(q, ε)| with early exit at the cap. Exact counts trivially lie
-  /// in [|B(q,ε)|, |B(q,(1+ρ)ε)|], so this is a conforming (if
-  /// worst-case-slower) implementation.
-  kExact,
-  /// Points bucketed on a sub-grid of side ρε/(2√d) per cell; a bucket whose
-  /// center is within ε(1+ρ/2) of q is counted wholesale, others not at all.
-  /// Every point within ε has its bucket center within ε(1+ρ/4) (counted),
-  /// and every counted point is within ε(1+3ρ/4) < (1+ρ)ε — conforming.
-  /// This is our stand-in for the Mount–Park structure [16] (see DESIGN.md).
-  kSubGrid,
-};
 
 /// Dynamic approximate range counting (Section 7.3): returns an integer k
 /// with |B(q, ε)| <= k <= |B(q, (1+ρ)ε)|, the primitive deciding the relaxed
 /// (ρ-double-approximate) core predicate. Under that predicate only the
 /// comparison k >= MinPts matters, so queries take a cap and may stop early.
+///
+/// The count is exact, |B(q, ε)| truncated at the cap. An exact count
+/// trivially lies in the band, so it is conforming at every ρ; the paper's
+/// Mount–Park structure [16] would only buy a better worst case. It reads
+/// the grid directly, so it keeps no state of its own to update.
 class ApproxRangeCounter {
  public:
-  /// `grid` must outlive the counter. For kSubGrid the counter maintains
-  /// per-cell bucket maps, updated through OnInsert/OnDelete.
-  ApproxRangeCounter(const Grid* grid, const DbscanParams& params,
-                     CounterKind kind);
-
-  /// Must be called right after `grid`->Insert(p) / before Delete(p) effects
-  /// are needed. No-ops for kExact.
-  void OnInsert(PointId p, CellId cell);
-  void OnDelete(PointId p, CellId cell);
+  /// `grid` must outlive the counter.
+  ApproxRangeCounter(const Grid* grid, const DbscanParams& params);
 
   /// A conforming count, truncated at `cap`: when the true answer is >= cap
   /// the query may return exactly `cap`.
-  int Count(const Point& q, int cap) const;
+  int Count(const Point& q, int cap) const {
+    return CountNear(q, kInvalidCell, cap);
+  }
 
   /// Count for a query point whose (materialized) cell is already known —
   /// the core trackers always have it — saving the key/hash/index work.
-  int CountFromCell(const Point& q, CellId home, int cap) const;
-
-  CounterKind kind() const { return kind_; }
+  int CountFromCell(const Point& q, CellId home, int cap) const {
+    return CountNear(q, home, cap);
+  }
 
  private:
-  struct BucketMap {
-    FlatHashMap<CellKey, int32_t, CellKeyHash> counts;
-  };
-
-  CellKey SubKey(const Point& p) const;
-
-  /// Shared bodies: `home` is the query's cell when known, kInvalidCell to
+  /// Shared body: `home` is the query's cell when known, kInvalidCell to
   /// locate it from the coordinates.
-  int ExactCount(const Point& q, CellId home, int cap) const;
-  int SubGridCount(const Point& q, CellId home, int cap) const;
+  int CountNear(const Point& q, CellId home, int cap) const;
 
   const Grid* grid_;
-  DbscanParams params_;
-  CounterKind kind_;
-  double sub_side_ = 0;
-  double test_radius_sq_ = 0;
+  int dim_;
   double eps_sq_;
-  /// Indexed by CellId (grown lazily); only for kSubGrid.
-  std::vector<BucketMap> buckets_;
 };
 
 }  // namespace ddc

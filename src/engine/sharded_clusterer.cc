@@ -31,8 +31,7 @@ ShardedClusterer::ShardedClusterer(const DbscanParams& params,
     auto shard = std::make_unique<Shard>();
     shard->index = i;
     shard->worker = i % options_.threads;
-    shard->clusterer =
-        std::make_unique<FullyDynamicClusterer>(params_, options_.inner);
+    shard->clusterer = std::make_unique<FullyDynamicClusterer>(params_);
     // The observer runs on the shard's worker thread and only touches
     // worker-side state; Flush's drain hands it to the ingest thread.
     Shard* s = shard.get();
@@ -46,7 +45,6 @@ ShardedClusterer::ShardedClusterer(const DbscanParams& params,
     shards_.push_back(std::move(shard));
   }
   pool_ = std::make_unique<ThreadPool>(options_.threads);
-  if (options_.watchdog_deadline_ms <= 0) return;
 
   // One label per worker naming the shards pinned to it, so a stall report
   // points at the data, not just the thread.
@@ -61,10 +59,8 @@ ShardedClusterer::ShardedClusterer(const DbscanParams& params,
     }
     labels[w] = "shard=" + shard_list;
   }
-  Watchdog::Options wd;
-  wd.deadline_ms = options_.watchdog_deadline_ms;
   watchdog_ = std::make_unique<Watchdog>(
-      std::move(health), std::move(labels), wd,
+      std::move(health), std::move(labels), Watchdog::Options{},
       [this](const Watchdog::Stall& stall) {
         std::fprintf(stderr,
                      "[ddc watchdog] worker %d (%s) quiet %.1fs with %lld "

@@ -78,12 +78,6 @@ class ShardedClusterer : public Clusterer {
     /// Inserts buffered before the slab partition is fixed from their
     /// spread. 0 fixes the partition at the first update.
     int warmup = 2048;
-    /// Heartbeat watchdog deadline: a worker quiet this long with batches
-    /// queued is reported as stalled (stderr + "watchdog.stalls" counter).
-    /// 0 disables the monitor thread.
-    int64_t watchdog_deadline_ms = 2000;
-    /// Structure stack of the per-shard clusterers.
-    FullyDynamicClusterer::Options inner;
   };
 
   static constexpr int kMaxShards = 64;

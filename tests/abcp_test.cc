@@ -1,4 +1,4 @@
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,47 +10,53 @@
 namespace ddc {
 namespace {
 
-// Harness owning two adjacent cells' core states, mirroring what the
-// fully-dynamic clusterer does, plus a brute-force oracle.
+// Harness owning two adjacent cells' core states built the way the
+// fully-dynamic clusterer builds them — each cell's emptiness structure
+// holds points of that grid cell only, knows the cell's box, and shares one
+// slot registry with the other — plus a brute-force oracle.
 class AbcpHarness {
  public:
   AbcpHarness(double rho, uint64_t seed)
       : params_{.dim = 2, .eps = 1.0, .min_pts = 3, .rho = rho},
         grid_(2, params_.eps),
-        rng_(seed),
-        inst_(0, 1) {
-    for (CellCoreState* s : {&s1_, &s2_}) {
-      s->core_set =
-          MakeEmptinessStructure(EmptinessKind::kBruteForce, &grid_, params_);
-    }
-    // Two adjacent cells: [0,side)^2 and [side,2*side)x[0,side).
+        rng_(seed) {
+    // Two adjacent cells, [0,side)^2 and [side,2*side)x[0,side),
+    // materialized by a point at each center that leaves again at once.
     side_ = grid_.side();
+    for (int which = 0; which < 2; ++which) {
+      const Grid::InsertResult ins =
+          grid_.Insert(Point{(which + 0.5) * side_, 0.5 * side_});
+      grid_.Delete(ins.id);
+      cell_[which] = ins.cell;
+      State(which).core_set = std::make_unique<CellEmptiness>(
+          &grid_, params_, grid_.cell_box(ins.cell), &slots_);
+    }
+    inst_ = AbcpInstance(cell_[0], cell_[1]);
     inst_.Initialize(grid_, s1_, s2_);
   }
 
   PointId InsertInto(int which) {
-    CellCoreState& s = which == 0 ? s1_ : s2_;
+    CellCoreState& s = State(which);
     Point p;
-    p[0] = rng_.NextDouble(0, side_) + (which == 0 ? 0.0 : side_);
-    p[1] = rng_.NextDouble(0, side_);
-    const PointId id = grid_.Insert(p).id;
-    s.core_set->Insert(id);
-    s.log.push_back(id);
+    p[0] = (rng_.NextDouble(0.001, 0.999) + which) * side_;
+    p[1] = rng_.NextDouble(0.001, 0.999) * side_;
+    const Grid::InsertResult ins = grid_.Insert(p);
+    EXPECT_EQ(ins.cell, cell_[which]);
+    s.core_set->Insert(ins.id);
+    s.log.push_back(ins.id);
     inst_.OnCoreInsert(grid_, s1_, s2_);
-    return id;
+    return ins.id;
   }
 
   void Remove(int which, PointId id) {
-    CellCoreState& s = which == 0 ? s1_ : s2_;
+    CellCoreState& s = State(which);
     ASSERT_TRUE(s.core_set->Contains(id));
     s.core_set->Remove(id);
-    inst_.OnCoreRemove(grid_, s1_, s2_, which == 0 ? 0 : 1, id);
+    inst_.OnCoreRemove(grid_, s1_, s2_, cell_[which], id);
   }
 
-  static std::vector<PointId> Members(const CellCoreState& s) {
-    std::vector<PointId> out;
-    s.core_set->ForEach([&](PointId p) { out.push_back(p); });
-    return out;
+  static const std::vector<PointId>& Members(const CellCoreState& s) {
+    return s.core_set->members();
   }
 
   /// True when some cross pair is within eps (the "must have witness" case).
@@ -80,15 +86,17 @@ class AbcpHarness {
   }
 
   const AbcpInstance& inst() const { return inst_; }
-  CellCoreState& s1() { return s1_; }
-  CellCoreState& s2() { return s2_; }
   Rng& rng() { return rng_; }
 
  private:
+  CellCoreState& State(int which) { return which == 0 ? s1_ : s2_; }
+
   DbscanParams params_;
   Grid grid_;
   Rng rng_;
   double side_;
+  CellId cell_[2] = {kInvalidCell, kInvalidCell};
+  std::vector<int32_t> slots_;
   CellCoreState s1_, s2_;
   AbcpInstance inst_;
 };

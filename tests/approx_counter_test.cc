@@ -9,34 +9,26 @@
 namespace ddc {
 namespace {
 
-struct CounterCase {
-  CounterKind kind;
-  double rho;
-};
-
-class ApproxCounterTest : public ::testing::TestWithParam<CounterCase> {};
+class ApproxCounterTest : public ::testing::TestWithParam<double> {};
 
 // The counting contract: |B(q,eps)| <= Count(q, cap) <= |B(q,(1+rho)eps)|,
-// modulo truncation at cap.
+// modulo truncation at cap. The count reads the grid directly, so updates
+// go to the grid alone.
 TEST_P(ApproxCounterTest, ContractUnderMixedUpdates) {
-  const auto [kind, rho] = GetParam();
+  const double rho = GetParam();
   const int dim = 2;
   DbscanParams params{.dim = dim, .eps = 1.0, .min_pts = 5, .rho = rho};
   Rng rng(404);
   Grid grid(dim, params.eps);
-  ApproxRangeCounter counter(&grid, params, kind);
+  ApproxRangeCounter counter(&grid, params);
 
   std::vector<PointId> alive;
   for (int step = 0; step < 1500; ++step) {
     if (alive.empty() || rng.NextBernoulli(0.65)) {
-      const auto ins = grid.Insert(UniformPoints(rng, 1, dim, 5.0)[0]);
-      counter.OnInsert(ins.id, ins.cell);
-      alive.push_back(ins.id);
+      alive.push_back(grid.Insert(UniformPoints(rng, 1, dim, 5.0)[0]).id);
     } else {
       const size_t i = rng.NextBelow(alive.size());
-      const PointId id = alive[i];
-      const CellId cell = grid.Delete(id);
-      counter.OnDelete(id, cell);
+      grid.Delete(alive[i]);
       alive[i] = alive.back();
       alive.pop_back();
     }
@@ -62,27 +54,14 @@ TEST_P(ApproxCounterTest, ContractUnderMixedUpdates) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Kinds, ApproxCounterTest,
-    ::testing::Values(CounterCase{CounterKind::kExact, 0.0},
-                      CounterCase{CounterKind::kExact, 0.3},
-                      CounterCase{CounterKind::kSubGrid, 0.001},
-                      CounterCase{CounterKind::kSubGrid, 0.1},
-                      CounterCase{CounterKind::kSubGrid, 0.5}));
-
-TEST(ApproxCounterTest, SubGridWithZeroRhoFallsBackToExact) {
-  DbscanParams params{.dim = 2, .eps = 1.0, .min_pts = 3, .rho = 0.0};
-  Grid grid(2, 1.0);
-  ApproxRangeCounter counter(&grid, params, CounterKind::kSubGrid);
-  EXPECT_EQ(counter.kind(), CounterKind::kExact);
-}
+INSTANTIATE_TEST_SUITE_P(Rhos, ApproxCounterTest,
+                         ::testing::Values(0.0, 0.001, 0.1, 0.3, 0.5));
 
 TEST(ApproxCounterTest, CountsSelf) {
   DbscanParams params{.dim = 2, .eps = 1.0, .min_pts = 3, .rho = 0.1};
   Grid grid(2, 1.0);
-  ApproxRangeCounter counter(&grid, params, CounterKind::kSubGrid);
-  const auto ins = grid.Insert(Point{1, 1});
-  counter.OnInsert(ins.id, ins.cell);
+  ApproxRangeCounter counter(&grid, params);
+  grid.Insert(Point{1, 1});
   EXPECT_EQ(counter.Count(Point{1, 1}, 10), 1);
 }
 

@@ -5,74 +5,66 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "connectivity/dynamic_connectivity.h"
 #include "connectivity/hdt.h"
 #include "unionfind/union_find.h"
 
 namespace ddc {
 namespace {
 
-class ConnectivityTest : public ::testing::TestWithParam<ConnectivityKind> {
- protected:
-  std::unique_ptr<DynamicConnectivity> Make() {
-    return MakeConnectivity(GetParam());
-  }
-};
-
-TEST_P(ConnectivityTest, EmptyGraph) {
-  auto c = Make();
-  c->EnsureVertices(3);
-  EXPECT_TRUE(c->Connected(1, 1));
-  EXPECT_FALSE(c->Connected(0, 2));
-  EXPECT_NE(c->ComponentId(0), c->ComponentId(2));
+TEST(ConnectivityTest, EmptyGraph) {
+  HdtConnectivity c;
+  c.EnsureVertices(3);
+  EXPECT_TRUE(c.Connected(1, 1));
+  EXPECT_FALSE(c.Connected(0, 2));
+  EXPECT_NE(c.ComponentId(0), c.ComponentId(2));
 }
 
-TEST_P(ConnectivityTest, TriangleSurvivesOneRemoval) {
-  auto c = Make();
-  c->EnsureVertices(3);
-  c->AddEdge(0, 1);
-  c->AddEdge(1, 2);
-  c->AddEdge(2, 0);
-  EXPECT_TRUE(c->Connected(0, 2));
+TEST(ConnectivityTest, TriangleSurvivesOneRemoval) {
+  HdtConnectivity c;
+  c.EnsureVertices(3);
+  c.AddEdge(0, 1);
+  c.AddEdge(1, 2);
+  c.AddEdge(2, 0);
+  EXPECT_TRUE(c.Connected(0, 2));
   // Removing any one edge of a cycle keeps the component intact.
-  c->RemoveEdge(0, 1);
-  EXPECT_TRUE(c->Connected(0, 1));
-  EXPECT_EQ(c->ComponentId(0), c->ComponentId(1));
-  c->RemoveEdge(1, 2);
-  EXPECT_FALSE(c->Connected(1, 0));
-  EXPECT_TRUE(c->Connected(0, 2));
+  c.RemoveEdge(0, 1);
+  EXPECT_TRUE(c.Connected(0, 1));
+  EXPECT_EQ(c.ComponentId(0), c.ComponentId(1));
+  c.RemoveEdge(1, 2);
+  EXPECT_FALSE(c.Connected(1, 0));
+  EXPECT_TRUE(c.Connected(0, 2));
 }
 
-TEST_P(ConnectivityTest, BridgeSplit) {
+TEST(ConnectivityTest, BridgeSplit) {
   // Two triangles joined by a bridge; deleting the bridge splits exactly
   // along it.
-  auto c = Make();
-  c->EnsureVertices(6);
-  c->AddEdge(0, 1);
-  c->AddEdge(1, 2);
-  c->AddEdge(2, 0);
-  c->AddEdge(3, 4);
-  c->AddEdge(4, 5);
-  c->AddEdge(5, 3);
-  c->AddEdge(2, 3);  // Bridge.
-  EXPECT_TRUE(c->Connected(0, 5));
-  c->RemoveEdge(2, 3);
-  EXPECT_FALSE(c->Connected(0, 5));
-  EXPECT_TRUE(c->Connected(0, 2));
-  EXPECT_TRUE(c->Connected(3, 5));
-  EXPECT_NE(c->ComponentId(0), c->ComponentId(3));
+  HdtConnectivity c;
+  c.EnsureVertices(6);
+  c.AddEdge(0, 1);
+  c.AddEdge(1, 2);
+  c.AddEdge(2, 0);
+  c.AddEdge(3, 4);
+  c.AddEdge(4, 5);
+  c.AddEdge(5, 3);
+  c.AddEdge(2, 3);  // Bridge.
+  EXPECT_TRUE(c.Connected(0, 5));
+  c.RemoveEdge(2, 3);
+  EXPECT_FALSE(c.Connected(0, 5));
+  EXPECT_TRUE(c.Connected(0, 2));
+  EXPECT_TRUE(c.Connected(3, 5));
+  EXPECT_NE(c.ComponentId(0), c.ComponentId(3));
 }
 
-TEST_P(ConnectivityTest, ComponentIdsPartitionCorrectly) {
-  auto c = Make();
-  c->EnsureVertices(8);
-  c->AddEdge(0, 1);
-  c->AddEdge(2, 3);
-  c->AddEdge(4, 5);
-  c->AddEdge(0, 2);
+TEST(ConnectivityTest, ComponentIdsPartitionCorrectly) {
+  HdtConnectivity c;
+  c.EnsureVertices(8);
+  c.AddEdge(0, 1);
+  c.AddEdge(2, 3);
+  c.AddEdge(4, 5);
+  c.AddEdge(0, 2);
   // Components: {0,1,2,3}, {4,5}, {6}, {7}.
   std::map<uint64_t, std::set<int>> by_id;
-  for (int v = 0; v < 8; ++v) by_id[c->ComponentId(v)].insert(v);
+  for (int v = 0; v < 8; ++v) by_id[c.ComponentId(v)].insert(v);
   ASSERT_EQ(by_id.size(), 4u);
   std::set<std::set<int>> groups;
   for (auto& [id, s] : by_id) groups.insert(s);
@@ -82,25 +74,25 @@ TEST_P(ConnectivityTest, ComponentIdsPartitionCorrectly) {
   EXPECT_TRUE(groups.count({7}));
 }
 
-TEST_P(ConnectivityTest, GrowUniverseOnTheFly) {
-  auto c = Make();
-  c->EnsureVertices(2);
-  c->AddEdge(0, 1);
-  c->EnsureVertices(5);
-  c->AddEdge(3, 4);
-  EXPECT_TRUE(c->Connected(3, 4));
-  EXPECT_FALSE(c->Connected(0, 4));
-  EXPECT_EQ(c->num_vertices(), 5);
+TEST(ConnectivityTest, GrowUniverseOnTheFly) {
+  HdtConnectivity c;
+  c.EnsureVertices(2);
+  c.AddEdge(0, 1);
+  c.EnsureVertices(5);
+  c.AddEdge(3, 4);
+  EXPECT_TRUE(c.Connected(3, 4));
+  EXPECT_FALSE(c.Connected(0, 4));
+  EXPECT_EQ(c.num_vertices(), 5);
 }
 
 // Randomized insert/delete fuzz against union-find recomputation. This is
 // the main correctness driver for the HDT level hierarchy (replacement
-// search, edge promotion) and for the BFS relabeling.
-TEST_P(ConnectivityTest, FuzzAgainstRecomputation) {
+// search, edge promotion).
+TEST(ConnectivityTest, FuzzAgainstRecomputation) {
   const int n = 50;
-  Rng rng(555 + static_cast<int>(GetParam()));
-  auto c = Make();
-  c->EnsureVertices(n);
+  Rng rng(555);
+  HdtConnectivity c;
+  c.EnsureVertices(n);
   std::set<std::pair<int, int>> edges;
 
   auto oracle = [&]() {
@@ -119,10 +111,10 @@ TEST_P(ConnectivityTest, FuzzAgainstRecomputation) {
     // and merge-heavy regimes.
     const double p_insert = step < 2000 ? 0.65 : 0.35;
     if (edges.count(key) == 0 && rng.NextBernoulli(p_insert)) {
-      c->AddEdge(u, v);
+      c.AddEdge(u, v);
       edges.insert(key);
     } else if (edges.count(key) == 1) {
-      c->RemoveEdge(u, v);
+      c.RemoveEdge(u, v);
       edges.erase(key);
     }
 
@@ -131,17 +123,13 @@ TEST_P(ConnectivityTest, FuzzAgainstRecomputation) {
       for (int probe = 0; probe < 40; ++probe) {
         const int a = static_cast<int>(rng.NextBelow(n));
         const int b = static_cast<int>(rng.NextBelow(n));
-        ASSERT_EQ(c->Connected(a, b), uf.Connected(a, b))
+        ASSERT_EQ(c.Connected(a, b), uf.Connected(a, b))
             << "step " << step << " pair (" << a << "," << b << ")";
-        ASSERT_EQ(c->ComponentId(a) == c->ComponentId(b), uf.Connected(a, b));
+        ASSERT_EQ(c.ComponentId(a) == c.ComponentId(b), uf.Connected(a, b));
       }
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Kinds, ConnectivityTest,
-                         ::testing::Values(ConnectivityKind::kHdt,
-                                           ConnectivityKind::kBfs));
 
 TEST(HdtTest, LevelsStayLogarithmic) {
   const int n = 128;

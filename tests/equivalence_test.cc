@@ -18,8 +18,8 @@ namespace {
 /// so on a shared insertion-only workload all three dynamic clusterers must
 /// agree with each other (and transitively with the static oracle, which the
 /// per-algorithm suites already check). This is the strongest cross-cutting
-/// integration test: one framework (Section 4) behind three different
-/// structure stacks, plus an independent 1998 algorithm, one answer.
+/// integration test: one framework (Section 4) behind two different
+/// structure sets, plus an independent 1998 algorithm, one answer.
 TEST(EquivalenceTest, AllAlgorithmsAgreeOnInsertions) {
   WorkloadConfig config;
   config.num_updates = 900;
@@ -111,11 +111,10 @@ TEST(EquivalenceTest, FullyDynamicMatchesIncDbscanOnDeleteHeavyWorkload) {
   ExpectFullMatchesIncThroughout(w, params, 90);
 }
 
-/// Mixed insert/delete workload across every FullyDynamicClusterer options
-/// stack: at rho == 0 all exact structure combinations must agree with
-/// IncDBSCAN on the workload's own subset C-group-by queries, not just on
-/// full clusterings.
-TEST(EquivalenceTest, AllExactOptionStacksAgreeOnMixedWorkloadQueries) {
+/// Mixed insert/delete workload: at rho == 0 the fully-dynamic clusterer
+/// must agree with IncDBSCAN on the workload's own subset C-group-by
+/// queries, not just on full clusterings.
+TEST(EquivalenceTest, FullyDynamicAgreesWithIncDbscanOnMixedWorkloadQueries) {
   WorkloadConfig config;
   config.num_updates = 600;
   config.insert_fraction = 0.7;
@@ -127,24 +126,16 @@ TEST(EquivalenceTest, AllExactOptionStacksAgreeOnMixedWorkloadQueries) {
   ASSERT_GT(w.num_queries, 0);
 
   DbscanParams params{.dim = 2, .eps = 105.0, .min_pts = 5, .rho = 0.0};
-  const std::vector<NamedOptions> stacks = FullyDynamicOptionStacks(0.0);
-
   IncrementalDbscan inc(params);
+  FullyDynamicClusterer full(params);
   std::vector<PointId> inc_id(w.points.size(), kInvalidPoint);
-  std::vector<std::unique_ptr<FullyDynamicClusterer>> fulls;
-  std::vector<std::vector<PointId>> full_ids;
-  for (const auto& [name, options] : stacks) {
-    fulls.push_back(std::make_unique<FullyDynamicClusterer>(params, options));
-    full_ids.emplace_back(w.points.size(), kInvalidPoint);
-  }
+  std::vector<PointId> full_id(w.points.size(), kInvalidPoint);
 
   for (size_t i = 0; i < w.ops.size(); ++i) {
     const Operation& op = w.ops[i];
     if (op.type != Operation::Type::kQuery) {
       ApplyOp(inc, w, op, inc_id);
-      for (size_t s = 0; s < fulls.size(); ++s) {
-        ApplyOp(*fulls[s], w, op, full_ids[s]);
-      }
+      ApplyOp(full, w, op, full_id);
       continue;
     }
     auto to_pids = [&](const std::vector<PointId>& ids) {
@@ -154,11 +145,9 @@ TEST(EquivalenceTest, AllExactOptionStacksAgreeOnMixedWorkloadQueries) {
       return q;
     };
     const auto want = RemapToInsertionIndex(inc.Query(to_pids(inc_id)), inc_id);
-    for (size_t s = 0; s < fulls.size(); ++s) {
-      const auto got = RemapToInsertionIndex(
-          fulls[s]->Query(to_pids(full_ids[s])), full_ids[s]);
-      ASSERT_EQ(got, want) << stacks[s].name << " at op " << i;
-    }
+    const auto got =
+        RemapToInsertionIndex(full.Query(to_pids(full_id)), full_id);
+    ASSERT_EQ(got, want) << "at op " << i;
   }
 }
 

@@ -11,16 +11,13 @@
 namespace ddc {
 namespace {
 
-using Options = FullyDynamicClusterer::Options;
-
 /// Replays a random insert/delete sequence, verifying the full clustering
 /// against the static oracle (rho == 0) or the sandwich guarantee (rho > 0)
 /// at regular checkpoints.
-void RunMixedWorkload(const DbscanParams& params, const Options& options,
-                      uint64_t seed, int steps, double p_insert,
-                      int check_every) {
+void RunMixedWorkload(const DbscanParams& params, uint64_t seed, int steps,
+                      double p_insert, int check_every) {
   Rng rng(seed);
-  FullyDynamicClusterer clusterer(params, options);
+  FullyDynamicClusterer clusterer(params);
   std::vector<PointId> alive;
 
   for (int step = 0; step < steps; ++step) {
@@ -65,52 +62,33 @@ void RunMixedWorkload(const DbscanParams& params, const Options& options,
 struct FullCase {
   const char* name;
   DbscanParams params;
-  Options options;
 };
 
 class FullyDynamicOracleTest : public ::testing::TestWithParam<FullCase> {};
 
 TEST_P(FullyDynamicOracleTest, MixedWorkloadChecksOut) {
   const auto& c = GetParam();
-  RunMixedWorkload(c.params, c.options, /*seed=*/777, /*steps=*/900,
+  RunMixedWorkload(c.params, /*seed=*/777, /*steps=*/900,
                    /*p_insert=*/0.7, /*check_every=*/60);
 }
 
 // Exact configurations (rho = 0) must reproduce exact DBSCAN; approximate
-// ones must stay inside the sandwich. Both connectivity structures and all
-// counter/emptiness combinations are exercised.
+// ones must stay inside the sandwich.
 INSTANTIATE_TEST_SUITE_P(
     Cases, FullyDynamicOracleTest,
     ::testing::Values(
-        FullCase{"exact2d_hdt",
-                 {.dim = 2, .eps = 0.8, .min_pts = 4, .rho = 0.0},
-                 {}},
-        FullCase{"exact2d_bfs",
-                 {.dim = 2, .eps = 0.8, .min_pts = 4, .rho = 0.0},
-                 {.connectivity = ConnectivityKind::kBfs}},
-        FullCase{"exact3d_hdt",
-                 {.dim = 3, .eps = 1.1, .min_pts = 5, .rho = 0.0},
-                 {}},
+        FullCase{"exact2d", {.dim = 2, .eps = 0.8, .min_pts = 4, .rho = 0.0}},
+        FullCase{"exact3d", {.dim = 3, .eps = 1.1, .min_pts = 5, .rho = 0.0}},
         FullCase{"exact1d_minpts1",
-                 {.dim = 1, .eps = 0.4, .min_pts = 1, .rho = 0.0},
-                 {}},
+                 {.dim = 1, .eps = 0.4, .min_pts = 1, .rho = 0.0}},
         FullCase{"approx2d_tiny_rho",
-                 {.dim = 2, .eps = 0.8, .min_pts = 4, .rho = 0.001},
-                 {}},
+                 {.dim = 2, .eps = 0.8, .min_pts = 4, .rho = 0.001}},
+        FullCase{"approx2d_mid_rho",
+                 {.dim = 2, .eps = 0.8, .min_pts = 4, .rho = 0.2}},
         FullCase{"approx3d_big_rho",
-                 {.dim = 3, .eps = 1.1, .min_pts = 5, .rho = 0.4},
-                 {}},
-        FullCase{"approx2d_subgrid_structures",
-                 {.dim = 2, .eps = 0.8, .min_pts = 4, .rho = 0.2},
-                 {.emptiness = EmptinessKind::kSubGrid,
-                  .counter = CounterKind::kSubGrid}},
-        FullCase{"exact2d_kdtree",
-                 {.dim = 2, .eps = 0.8, .min_pts = 4, .rho = 0.0},
-                 {.emptiness = EmptinessKind::kKdTree}},
-        FullCase{"approx5d_bfs",
-                 {.dim = 5, .eps = 1.8, .min_pts = 4, .rho = 0.25},
-                 {.connectivity = ConnectivityKind::kBfs,
-                  .counter = CounterKind::kSubGrid}}),
+                 {.dim = 3, .eps = 1.1, .min_pts = 5, .rho = 0.4}},
+        FullCase{"approx5d",
+                 {.dim = 5, .eps = 1.8, .min_pts = 4, .rho = 0.25}}),
     [](const auto& info) { return info.param.name; });
 
 TEST(FullyDynamicTest, DeleteReversesInsert) {
@@ -182,8 +160,8 @@ TEST(FullyDynamicTest, DeletionHeavyRegime) {
   // Mostly deletions after a build-up phase: stresses demotions, witness
   // repairs and connectivity splits.
   DbscanParams params{.dim = 2, .eps = 0.9, .min_pts = 4, .rho = 0.0};
-  RunMixedWorkload(params, Options{}, /*seed=*/31337, /*steps=*/700,
-                   /*p_insert=*/0.45, /*check_every=*/50);
+  RunMixedWorkload(params, /*seed=*/31337, /*steps=*/700, /*p_insert=*/0.45,
+                   /*check_every=*/50);
 }
 
 }  // namespace

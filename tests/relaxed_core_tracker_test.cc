@@ -12,13 +12,11 @@ namespace {
 /// Soundness of the relaxed predicate under mixed updates: a marked core
 /// point must have |B(p,(1+ρ)ε)| >= MinPts, an unmarked one must have
 /// |B(p,ε)| < MinPts — everything else is don't-care.
-class RelaxedTrackerTest : public ::testing::TestWithParam<CounterKind> {};
-
-TEST_P(RelaxedTrackerTest, StatusStaysInsideBand) {
+TEST(RelaxedTrackerTest, StatusStaysInsideBand) {
   DbscanParams params{.dim = 2, .eps = 1.0, .min_pts = 4, .rho = 0.15};
   Rng rng(606);
   Grid grid(2, params.eps);
-  ApproxRangeCounter counter(&grid, params, GetParam());
+  ApproxRangeCounter counter(&grid, params);
   RelaxedCoreTracker tracker(&grid, &counter, params);
 
   std::vector<PointId> alive;
@@ -29,7 +27,6 @@ TEST_P(RelaxedTrackerTest, StatusStaysInsideBand) {
     if (alive.empty() || rng.NextBernoulli(0.6)) {
       const Point p = UniformPoints(rng, 1, 2, 4.0)[0];
       const auto ins = grid.Insert(p);
-      counter.OnInsert(ins.id, ins.cell);
       tracker.OnInsert(ins.id, ins.cell, noop_promote);
       alive.push_back(ins.id);
     } else {
@@ -37,7 +34,6 @@ TEST_P(RelaxedTrackerTest, StatusStaysInsideBand) {
       const PointId id = alive[i];
       if (tracker.is_core(id)) tracker.ClearCore(id);
       const CellId cell = grid.Delete(id);
-      counter.OnDelete(id, cell);
       tracker.OnDelete(id, cell, noop_demote);
       alive[i] = alive.back();
       alive.pop_back();
@@ -60,14 +56,10 @@ TEST_P(RelaxedTrackerTest, StatusStaysInsideBand) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Counters, RelaxedTrackerTest,
-                         ::testing::Values(CounterKind::kExact,
-                                           CounterKind::kSubGrid));
-
 TEST(RelaxedTrackerTest, PromotionsAndDemotionsFire) {
   DbscanParams params{.dim = 2, .eps = 1.0, .min_pts = 3, .rho = 0.0};
   Grid grid(2, params.eps);
-  ApproxRangeCounter counter(&grid, params, CounterKind::kExact);
+  ApproxRangeCounter counter(&grid, params);
   RelaxedCoreTracker tracker(&grid, &counter, params);
 
   std::vector<PointId> promoted, demoted;
@@ -77,7 +69,6 @@ TEST(RelaxedTrackerTest, PromotionsAndDemotionsFire) {
   std::vector<PointId> ids;
   for (const double x : {0.0, 0.1, 0.2}) {
     const auto ins = grid.Insert(Point{x, 0});
-    counter.OnInsert(ins.id, ins.cell);
     tracker.OnInsert(ins.id, ins.cell, on_promote);
     ids.push_back(ins.id);
   }
@@ -86,7 +77,6 @@ TEST(RelaxedTrackerTest, PromotionsAndDemotionsFire) {
   // Delete one: the remaining two must demote.
   if (tracker.is_core(ids[0])) tracker.ClearCore(ids[0]);
   const CellId cell = grid.Delete(ids[0]);
-  counter.OnDelete(ids[0], cell);
   tracker.OnDelete(ids[0], cell, on_demote);
   EXPECT_EQ(demoted.size(), 2u);
   EXPECT_FALSE(tracker.is_core(ids[1]));

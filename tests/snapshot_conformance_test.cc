@@ -34,26 +34,17 @@ struct Combo {
   std::function<std::unique_ptr<Clusterer>(const DbscanParams&)> make;
 };
 
-/// A representative slice of the full conformance matrix: both connectivity
-/// structures, every emptiness kind, IncDBSCAN at rho == 0, the
-/// semi-dynamic clusterer on insert-only streams, and the sharded engine
-/// (whose snapshots additionally compose per-shard state across real
-/// worker threads).
+/// A representative slice of the full conformance matrix: the
+/// fully-dynamic clusterer, IncDBSCAN at rho == 0, the semi-dynamic
+/// clusterer on insert-only streams, and the sharded engine (whose
+/// snapshots additionally compose per-shard state across real worker
+/// threads).
 std::vector<Combo> SnapshotCombos(double rho) {
   std::vector<Combo> combos;
-  for (const auto& [kind, name] : EmptinessKinds(rho)) {
-    FullyDynamicClusterer::Options options;
-    options.emptiness = kind;
-    options.connectivity = kind == EmptinessKind::kBruteForce
-                               ? ConnectivityKind::kBfs
-                               : ConnectivityKind::kHdt;
-    combos.push_back({std::string("full/") + name, true,
-                      [options](const DbscanParams& p) {
-                        return std::make_unique<FullyDynamicClusterer>(
-                            p, options);
-                      }});
-  }
-  combos.push_back({"semi/bf", false, [](const DbscanParams& p) {
+  combos.push_back({"full", true, [](const DbscanParams& p) {
+                      return std::make_unique<FullyDynamicClusterer>(p);
+                    }});
+  combos.push_back({"semi", false, [](const DbscanParams& p) {
                       return std::make_unique<SemiDynamicClusterer>(p);
                     }});
   if (rho == 0) {

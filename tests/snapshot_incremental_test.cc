@@ -40,17 +40,10 @@ struct Combo {
 
 std::vector<Combo> Combos(double rho) {
   std::vector<Combo> combos;
-  for (const auto& [kind, name] : {std::pair{ConnectivityKind::kHdt, "hdt"},
-                                   std::pair{ConnectivityKind::kBfs, "bfs"}}) {
-    FullyDynamicClusterer::Options options;
-    options.connectivity = kind;
-    combos.push_back({std::string("full/") + name, true,
-                      [options](const DbscanParams& p) {
-                        return std::make_unique<FullyDynamicClusterer>(
-                            p, options);
-                      }});
-  }
-  combos.push_back({"semi/bf", false, [](const DbscanParams& p) {
+  combos.push_back({"full", true, [](const DbscanParams& p) {
+                      return std::make_unique<FullyDynamicClusterer>(p);
+                    }});
+  combos.push_back({"semi", false, [](const DbscanParams& p) {
                       return std::make_unique<SemiDynamicClusterer>(p);
                     }});
   // The sharded engine's warmup cut depends on when the first flush comes,
