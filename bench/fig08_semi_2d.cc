@@ -12,6 +12,7 @@
 int main(int argc, char** argv) {
   ddc::Flags flags(argc, argv);
   const auto config = ddc::bench::BenchConfig::FromFlags(flags, 50000);
+  flags.CheckAllRead();
   const int dim = 2;
 
   const ddc::Workload w = ddc::bench::PaperWorkload(

@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   std::vector<int> dims;
   std::stringstream ss(flags.GetString("dims", "2,3,5,7"));
   for (std::string tok; std::getline(ss, tok, ',');) dims.push_back(std::stoi(tok));
+  flags.CheckAllRead();
 
   for (const int dim : dims) {
     const ddc::Workload w = ddc::bench::PaperWorkload(

@@ -12,6 +12,7 @@ int main(int argc, char** argv) {
   ddc::Flags flags(argc, argv);
   const auto config = ddc::bench::BenchConfig::FromFlags(flags, 50000);
   const double ins = flags.GetDouble("ins-pct", 5.0 / 6.0);
+  flags.CheckAllRead();
   const int dim = 2;
 
   const ddc::Workload w = ddc::bench::PaperWorkload(

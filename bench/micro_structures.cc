@@ -423,7 +423,10 @@ struct FreezeFixture {
 /// fresh fixture per run, so every variant sees the same state drift. First
 /// arg 1: Snapshot() over the previous freeze, which rebuilds only the pages
 /// and cells those updates dirtied. First arg 0: the first, full freeze of
-/// the same state (GridSnapshot::Build with no previous snapshot).
+/// the same state (GridSnapshot::Build with no previous snapshot), labeled
+/// through the clusterer's own freeze of that state, taken untimed. The
+/// rebuilt-share counters are the incremental arm's; a full freeze
+/// rebuilds everything.
 void BM_GridSnapshot_Freeze(benchmark::State& state) {
   const bool incremental = state.range(0) != 0;
   const int64_t k = state.range(1);
@@ -441,18 +444,22 @@ void BM_GridSnapshot_Freeze(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     for (int64_t i = 0; i < k; ++i) fixture.Update();
-    state.ResumeTiming();
     if (incremental) {
+      state.ResumeTiming();
       benchmark::DoNotOptimize(c.Snapshot());
       continue;
     }
+    const auto labels =
+        std::static_pointer_cast<const GridSnapshot>(c.Snapshot());
+    state.ResumeTiming();
     SnapshotDirtySet dirty;
     benchmark::DoNotOptimize(GridSnapshot::Build(
         c.grid(), [&](PointId p) { return c.is_core(p); },
-        [&](CellId, PointId p) { return c.CoreLabelOf(p); }, c.params(), 0,
-        nullptr, &dirty));
+        [&](CellId, PointId p) { return labels->CoreLabelOf(p); }, c.params(),
+        0, nullptr, &dirty));
   }
   state.counters["alive"] = static_cast<double>(c.size());
+  if (!incremental) return;
   // Share of the page table and of the cells each freeze rebuilt.
   const double pages = read("core.snapshot_pages_rebuilt") - pages_before;
   const double cells = read("core.snapshot_cells_rebuilt") - cells_before;

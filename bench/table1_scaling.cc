@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   std::vector<int64_t> sizes;
   std::stringstream ss(flags.GetString("sizes", "12500,25000,50000,100000"));
   for (std::string tok; std::getline(ss, tok, ',');) sizes.push_back(std::stoll(tok));
+  flags.CheckAllRead();
 
   const ddc::DbscanParams params = ddc::PaperParams(dim);
   struct Scheme {

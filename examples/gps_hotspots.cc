@@ -19,6 +19,7 @@
 int main(int argc, char** argv) {
   ddc::Flags flags(argc, argv);
   const int64_t pings = flags.GetInt("pings", 50000);
+  flags.CheckAllRead();
 
   // City coordinates in meters; a hotspot is ~150 m of walking distance,
   // and needs at least 10 nearby pickups to count.

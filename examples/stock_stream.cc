@@ -57,6 +57,7 @@ struct Market {
 int main(int argc, char** argv) {
   ddc::Flags flags(argc, argv);
   const int days = static_cast<int>(flags.GetInt("days", 60));
+  flags.CheckAllRead();
 
   ddc::DbscanParams params{.dim = 3, .eps = 8.0, .min_pts = 10, .rho = 0.001};
   ddc::FullyDynamicClusterer clusterer(params);

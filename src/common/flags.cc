@@ -41,6 +41,7 @@ void MalformedNumber(const std::string& name, const std::string& value,
 }  // namespace
 
 int64_t Flags::GetInt(const std::string& name, int64_t def) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
   const std::string& raw = it->second;
@@ -54,6 +55,7 @@ int64_t Flags::GetInt(const std::string& name, int64_t def) const {
 }
 
 double Flags::GetDouble(const std::string& name, double def) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
   const std::string& raw = it->second;
@@ -67,18 +69,32 @@ double Flags::GetDouble(const std::string& name, double def) const {
 
 std::string Flags::GetString(const std::string& name,
                              const std::string& def) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   return it == values_.end() ? def : it->second;
 }
 
 bool Flags::GetBool(const std::string& name, bool def) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
   return it->second == "true" || it->second == "1";
 }
 
 bool Flags::Has(const std::string& name) const {
+  read_.insert(name);
   return values_.count(name) > 0;
+}
+
+void Flags::CheckAllRead() const {
+  bool unread = false;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) > 0) continue;
+    std::fprintf(stderr, "unknown flag --%s=%s\n", name.c_str(),
+                 value.c_str());
+    unread = true;
+  }
+  DDC_CHECK(!unread && "unknown flag");
 }
 
 bool SplitKeyValueList(const std::string& list,

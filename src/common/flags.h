@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,7 +16,9 @@ namespace ddc {
 class Flags {
  public:
   /// Parses argv; entries must look like `--name=value` or `--name value`.
-  /// Unknown flags are kept and readable; malformed arguments abort.
+  /// Every flag is kept and readable; malformed arguments abort. The
+  /// getters and Has record the names they are asked for, so a main that
+  /// has read its flags can refuse the rest with CheckAllRead.
   Flags(int argc, char** argv);
 
   /// Returns the flag value or `def` when the flag is absent. A numeric
@@ -29,8 +32,14 @@ class Flags {
   /// True when the flag appeared on the command line.
   bool Has(const std::string& name) const;
 
+  /// Aborts, naming each one, when the command line carries a flag that no
+  /// getter or Has call asked for: a misspelt or unsupported flag would
+  /// otherwise run the default experiment silently.
+  void CheckAllRead() const;
+
  private:
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 /// Splits a comma-separated `key=value` sublist — the payload of compound

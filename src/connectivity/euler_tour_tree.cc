@@ -214,16 +214,7 @@ int EulerTourForest::TreeSize(int u) {
   return s->cnt_vertices;
 }
 
-const EttNode* EulerTourForest::Representative(int u) {
-  EttNode* s = Self(u);
-  Splay(s);
-  EttNode* head = s;
-  while (head->left != nullptr) head = head->left;
-  Splay(head);
-  return head;
-}
-
-const EttNode* EulerTourForest::RepresentativeReadOnly(int u) const {
+const EttNode* EulerTourForest::Representative(int u) const {
   DDC_DCHECK(u >= 0 && u < num_vertices());
   const EttNode* node = self_[u];
   if (node == nullptr) return nullptr;  // Untouched singleton.

@@ -72,17 +72,13 @@ class EulerTourForest {
   /// Number of vertices in u's tree.
   int TreeSize(int u);
 
-  /// A canonical node of u's tree: the head of its tour sequence. Stable
-  /// between Link/Cut operations.
-  const EttNode* Representative(int u);
-
-  /// Representative without splaying: a mutation-free parent walk to the
-  /// splay root, then left-spine descent to the tour head. Returns the same
-  /// node as Representative(u) (the head is a property of the tour, not of
-  /// the splay shape). A vertex whose self-arc was never materialized is a
-  /// singleton; it is reported as nullptr so the caller can synthesize a
-  /// label without mutating the forest.
-  const EttNode* RepresentativeReadOnly(int u) const;
+  /// A canonical node of u's tree: the head of its tour sequence, stable
+  /// between Link/Cut operations. A mutation-free walk — up to the splay
+  /// root, then down its left spine, no splaying — so a frozen snapshot
+  /// build may call it. A vertex whose self-arc was never materialized is
+  /// an untouched singleton, reported as nullptr so the caller can
+  /// synthesize a label without mutating the forest.
+  const EttNode* Representative(int u) const;
 
   /// Marks whether u carries non-tree edges at this forest's level.
   void SetVertexFlag(int u, bool flag);

@@ -171,14 +171,9 @@ bool HdtConnectivity::Connected(int u, int v) {
   return forests_[0]->Connected(u, v);
 }
 
-uint64_t HdtConnectivity::ComponentId(int v) {
+uint64_t HdtConnectivity::ComponentId(int v) const {
   DDC_CHECK(v >= 0 && v < n_);
-  return reinterpret_cast<uint64_t>(forests_[0]->Representative(v));
-}
-
-uint64_t HdtConnectivity::ComponentIdReadOnly(int v) const {
-  DDC_CHECK(v >= 0 && v < n_);
-  const EttNode* head = forests_[0]->RepresentativeReadOnly(v);
+  const EttNode* head = forests_[0]->Representative(v);
   if (head != nullptr) return reinterpret_cast<uint64_t>(head);
   // Never-touched singleton: synthesize an odd label — EttNode pointers are
   // aligned, so the two label families can't collide, and the value agrees

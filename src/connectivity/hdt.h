@@ -41,13 +41,11 @@ class HdtConnectivity {
 
   /// An identifier of v's component. Two vertices share a component iff
   /// their ids are equal. Ids are stable between modifications but may be
-  /// reassigned by any AddEdge/RemoveEdge.
-  uint64_t ComponentId(int v);
-
-  /// ComponentId as a mutation-free lookup (no splaying, no lazy
-  /// materialization): safe to call while building a frozen snapshot.
-  /// Agrees with ComponentId(v) between modifications.
-  uint64_t ComponentIdReadOnly(int v) const;
+  /// reassigned by any AddEdge/RemoveEdge. A mutation-free lookup (no
+  /// splaying, no lazy materialization): safe to call while building a
+  /// frozen snapshot. A vertex no edge has touched gets a synthesized odd
+  /// id.
+  uint64_t ComponentId(int v) const;
 
   /// Number of vertices currently in the universe.
   int num_vertices() const { return n_; }

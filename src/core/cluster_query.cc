@@ -1,9 +1,6 @@
 #include "core/cluster_query.h"
 
 #include <algorithm>
-#include <unordered_map>
-
-#include "common/check.h"
 
 namespace ddc {
 
@@ -14,27 +11,5 @@ void CGroupByResult::Canonicalize() {
 }
 
 CGroupByResult Clusterer::QueryAll() { return Query(AlivePoints()); }
-
-CGroupByResult RunCGroupByQuery(const Grid& grid,
-                                const std::vector<PointId>& q,
-                                const QueryHooks& hooks) {
-  // cluster id -> bucket of query points.
-  std::unordered_map<uint64_t, std::vector<PointId>> buckets;
-  CGroupByResult result;
-
-  for (const PointId pid : q) {
-    if (!grid.alive(pid)) continue;
-    bool any = false;
-    ForEachMembershipLabel(grid, pid, hooks, [&](uint64_t cc) {
-      any = true;
-      buckets[cc].push_back(pid);
-    });
-    if (!any) result.noise.push_back(pid);
-  }
-
-  result.groups.reserve(buckets.size());
-  for (auto& [cc, members] : buckets) result.groups.push_back(std::move(members));
-  return result;
-}
 
 }  // namespace ddc

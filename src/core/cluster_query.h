@@ -2,14 +2,9 @@
 #define DDC_CORE_CLUSTER_QUERY_H_
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
-#include "common/check.h"
 #include "common/flat_hash.h"
 #include "core/clusterer.h"
-#include "geom/point.h"
-#include "grid/grid.h"
 
 namespace ddc {
 
@@ -17,7 +12,8 @@ namespace ddc {
 /// belongs to at most one cluster per ε-close core cell, and in practice to
 /// one or two, so a fixed inline buffer with linear probing covers the hot
 /// path without touching the heap; the rare point adjacent to more distinct
-/// clusters spills into a FlatHashSet.
+/// clusters spills into a FlatHashSet. The query that fills it is
+/// GridSnapshot::ForEachMembershipLabel (core/cluster_snapshot.h).
 class MembershipLabelSet {
  public:
   /// Records `label`; true when it was not seen before.
@@ -43,67 +39,6 @@ class MembershipLabelSet {
   uint64_t inline_[kInlineCapacity];
   FlatHashSet<uint64_t> spill_;
 };
-
-/// The C-group-by query algorithm of Section 4.2 over scripted callbacks —
-/// the executable specification of the query semantics, pinned down by
-/// tests/cluster_query_test.cc. The production read path is its frozen
-/// counterpart, GridSnapshot::ForEachMembershipLabel in
-/// core/cluster_snapshot.h: any semantic change must land in both. The
-/// callbacks:
-///
-///   * `is_core(p)`    — the core-status structure;
-///   * `cc_id(cell)`   — CC-Id of a *core cell* in the grid graph;
-///   * `empty(q, cell)`— the ρ-approximate ε-emptiness query against the
-///                       core points of a core cell, returning a proof point
-///                       or kInvalidPoint.
-///
-/// A core query point takes the CC id of its cell; a non-core point is
-/// snapped to every ε-close core cell whose emptiness query returns a proof.
-struct QueryHooks {
-  std::function<bool(PointId)> is_core;
-  std::function<bool(CellId)> is_core_cell;
-  std::function<uint64_t(CellId)> cc_id;
-  std::function<PointId(const Point&, CellId)> empty;
-};
-
-/// Runs the C-group-by query over `q` (ids not alive in `grid` are ignored).
-CGroupByResult RunCGroupByQuery(const Grid& grid,
-                                const std::vector<PointId>& q,
-                                const QueryHooks& hooks);
-
-/// The per-point core of RunCGroupByQuery: invokes `fn(label)` once per
-/// distinct cluster (CC id) containing `pid` — nothing for a noise point. A
-/// core point contributes exactly its cell's CC; a non-core point
-/// contributes the CC of every ε-close core cell whose emptiness query
-/// certifies a proof point. `pid` must be alive in `grid`. Exposed so
-/// composite engines (the sharded clusterer) can merge memberships computed
-/// by several underlying clusterers before grouping. Templated on the
-/// callback so the per-point query path never materializes a std::function.
-template <typename Fn>
-void ForEachMembershipLabel(const Grid& grid, PointId pid,
-                            const QueryHooks& hooks, Fn&& fn) {
-  DDC_DCHECK(grid.alive(pid));
-  const CellId c = grid.cell_of(pid);
-  if (hooks.is_core(pid)) {
-    // A core point lives in a core cell; its cluster is the cell's CC.
-    DDC_DCHECK(hooks.is_core_cell(c));
-    fn(hooks.cc_id(c));
-    return;
-  }
-  // Non-core: snap to every ε-close core cell (and the own cell) whose
-  // emptiness query produces a proof point. Distinct CCs may repeat over
-  // cells, hence the local set (inline-buffered: no per-point allocation).
-  const Point& p = grid.point(pid);
-  MembershipLabelSet assigned;
-  auto consider = [&](CellId cell) {
-    if (!hooks.is_core_cell(cell)) return;
-    if (hooks.empty(p, cell) == kInvalidPoint) return;
-    const uint64_t cc = hooks.cc_id(cell);
-    if (assigned.Insert(cc)) fn(cc);
-  };
-  consider(c);
-  for (const CellId nb : grid.cell(c).neighbors) consider(nb);
-}
 
 }  // namespace ddc
 

@@ -165,8 +165,11 @@ class GridSnapshot final : public ClusterSnapshot {
   }
 
   /// Invokes `fn(label)` once per distinct cluster containing alive point
-  /// `pid` — nothing for noise. The snapshot counterpart of the live-path
-  /// ForEachMembershipLabel in cluster_query.h; thread-safe.
+  /// `pid` — nothing for noise: the per-point step of Section 4.2's
+  /// C-group-by query, and its one implementation. A core point takes its
+  /// cell's CC label; a non-core point takes the label of every ε-close
+  /// core cell, its own cell included, whose emptiness probe certifies a
+  /// proof. Thread-safe.
   template <typename Fn>
   void ForEachMembershipLabel(PointId pid, Fn&& fn) const {
     DDC_DCHECK(alive(pid));

@@ -1,7 +1,6 @@
 #include "core/fully_dynamic_clusterer.h"
 
 #include "common/check.h"
-#include "core/cluster_query.h"
 #include "telemetry/metrics.h"
 
 namespace ddc {
@@ -163,13 +162,8 @@ void FullyDynamicClusterer::OnCoreDemoted(PointId p, CellId cell) {
 std::shared_ptr<const ClusterSnapshot> FullyDynamicClusterer::Snapshot() {
   return snapshot_cache_.GetOrBuild(
       grid_, [this](PointId p) { return tracker_.is_core(p); },
-      [this](CellId c, PointId) { return cc_.ComponentIdReadOnly(c); },
+      [this](CellId c, PointId) { return cc_.ComponentId(c); },
       params_);
-}
-
-uint64_t FullyDynamicClusterer::CoreLabelOf(PointId p) {
-  DDC_DCHECK(tracker_.is_core(p));
-  return cc_.ComponentId(grid_.cell_of(p));
 }
 
 std::vector<PointId> FullyDynamicClusterer::AlivePoints() const {

@@ -9,7 +9,6 @@
 #include "common/flat_hash.h"
 #include "connectivity/hdt.h"
 #include "core/abcp.h"
-#include "core/cluster_query.h"
 #include "core/cluster_snapshot.h"
 #include "core/clusterer.h"
 #include "core/emptiness.h"
@@ -62,13 +61,6 @@ class FullyDynamicClusterer : public Clusterer {
   /// unset (the default) costs nothing on the update path.
   using CoreObserver = std::function<void(PointId, bool)>;
   void set_core_observer(CoreObserver obs) { core_observer_ = std::move(obs); }
-
-  /// CC label of the cluster containing core point `p` (the component id of
-  /// its cell in the grid graph). Labels are stable between updates and
-  /// compare equal iff two core points share a cluster. `p` must be core.
-  /// The sharded engine's stitch rebuild keys on these; non-core
-  /// memberships are answered by GridSnapshot::ForEachMembershipLabel.
-  uint64_t CoreLabelOf(PointId p);
 
  private:
   /// GUM (Section 7.4).

@@ -1,6 +1,7 @@
 #include "core/semi_dynamic_clusterer.h"
 
 #include "common/check.h"
+#include "telemetry/metrics.h"
 
 namespace ddc {
 
@@ -44,6 +45,7 @@ void SemiDynamicClusterer::Delete(PointId /*id*/) {
 }
 
 void SemiDynamicClusterer::OnNewCore(PointId p, CellId cell) {
+  DDC_COUNTER_INC("core.promotions");
   snapshot_cache_.MarkCoreChange(p, cell);
   CoreSet(cell)->Insert(p);
   const Point& pt = grid_.point(p);
@@ -56,7 +58,9 @@ void SemiDynamicClusterer::OnNewCore(PointId p, CellId cell) {
     }
     const uint64_t key = EdgeKey(cell, nb);
     if (edges_.Contains(key)) continue;
+    DDC_COUNTER_INC("semi.gum_probes");
     if (cell_core_[nb]->Query(pt) != kInvalidPoint) {
+      DDC_COUNTER_INC("semi.gum_edges");
       edges_.Insert(key);
       uf_.Union(cell, nb);
     }

@@ -260,7 +260,6 @@ void ShardedClusterer::Flush() {
     max_owned = std::max(max_owned, shard->owned_alive);
   }
   if (dirty) {
-    RebuildLabels();
     const double mean =
         static_cast<double>(alive_) / static_cast<double>(shards_.size());
     const double imbalance =
@@ -269,39 +268,56 @@ void ShardedClusterer::Flush() {
     DDC_GAUGE_SET("engine.shard_imbalance", last_imbalance_milli_);
   }
   if (dirty || published_.Load() == nullptr) {
-    PublishSnapshot();
+    PublishSnapshot(/*relabel=*/dirty);
   }
 }
 
-void ShardedClusterer::RebuildLabels() {
+void ShardedClusterer::RebuildLabels(
+    const std::vector<std::shared_ptr<const GridSnapshot>>& shard_snaps) {
   // Shard-local component labels are stable only between updates, so any
   // applied batch invalidates the previous epoch's label table. The new
   // table goes into a fresh object — snapshots of older epochs keep
-  // resolving against theirs.
+  // resolving against theirs. Its keys are the frozen labels the epoch's
+  // queries resolve, read from the very snapshots it is composed of.
   DDC_TRACE_SPAN("engine.stitch_rebuild");
   DDC_COUNTER_INC("engine.stitch_rebuilds");
   stitcher_.Rebuild(
-      [this](PointId gid, std::vector<BoundaryStitcher::LabelKey>* out) {
-        LabelsOf(gid, out);
+      [&](PointId gid, std::vector<BoundaryStitcher::LabelKey>* out) {
+        const ShardedSnapshot::Route& rec = points_[gid];
+        auto push = [&](int t) {
+          const GridSnapshot& shard = *shard_snaps[t];
+          const PointId local = rec.local_in(t);
+          if (shard.is_core(local)) {
+            out->push_back(
+                BoundaryStitcher::LabelKey{t, shard.CoreLabelOf(local)});
+          }
+        };
+        // Owner first; owner-core is the registration invariant.
+        push(rec.owner);
+        for (int t = rec.first; t <= rec.last; ++t) {
+          if (t != rec.owner) push(t);
+        }
       });
   epoch_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ShardedClusterer::PublishSnapshot() {
+void ShardedClusterer::PublishSnapshot(bool relabel) {
   DDC_TRACE_SPAN("engine.publish_snapshot");
   DDC_HISTOGRAM_SCOPED("engine.snapshot_publish");
   DDC_COUNTER_INC("engine.snapshot_publications");
   // Workers are quiescent (post-drain): freeze each shard's query state —
   // the per-shard snapshot caches make this cheap for shards that applied
-  // nothing since their last freeze — plus this epoch's stitch table and
-  // the routing records (sharing every clean page with the previous
-  // epoch), and swap the composite in atomically.
+  // nothing since their last freeze — then key this epoch's stitch table
+  // on those frozen labels, and compose them with the table and the
+  // routing records (sharing every clean page with the previous epoch)
+  // into one composite, swapped in atomically.
   std::vector<std::shared_ptr<const GridSnapshot>> shard_snaps;
   shard_snaps.reserve(shards_.size());
   for (auto& shard : shards_) {
     shard_snaps.push_back(std::static_pointer_cast<const GridSnapshot>(
         shard->clusterer->Snapshot()));
   }
+  if (relabel) RebuildLabels(shard_snaps);
   const std::shared_ptr<const ShardedSnapshot> prev = published_.Load();
   published_.Store(std::make_shared<const ShardedSnapshot>(
       epoch(), points_, alive_, prev.get(), route_dirty_,
@@ -312,32 +328,6 @@ void ShardedClusterer::PublishSnapshot() {
 std::shared_ptr<const ClusterSnapshot> ShardedClusterer::Snapshot() {
   Flush();
   return published_.Load();
-}
-
-void ShardedClusterer::LabelsOf(PointId gid,
-                                std::vector<BoundaryStitcher::LabelKey>* out) {
-  const ShardedSnapshot::Route& rec = points_[gid];
-  auto push = [&](int t) {
-    FullyDynamicClusterer& c = *shards_[t]->clusterer;
-    const PointId local = rec.local_in(t);
-    if (c.is_core(local)) {
-      out->push_back(BoundaryStitcher::LabelKey{t, c.CoreLabelOf(local)});
-    }
-  };
-  push(rec.owner);  // Owner first; owner-core is the registration invariant.
-  for (int t = rec.first; t <= rec.last; ++t) {
-    if (t != rec.owner) push(t);
-  }
-}
-
-ClusterLabel ShardedClusterer::ClusterIdOf(PointId id) {
-  Flush();
-  return published_.Load()->LabelOf(id);
-}
-
-bool ShardedClusterer::SameCluster(PointId a, PointId b) {
-  Flush();
-  return published_.Load()->SameCluster(a, b);
 }
 
 std::vector<PointId> ShardedClusterer::AlivePoints() const {

@@ -41,17 +41,19 @@ namespace ddc {
 /// unsharded engine verbatim — same op stream, same structures, same
 /// don't-care decisions.
 ///
-/// Queries. Every Flush that applied work rebuilds the stitch table — a
+/// Queries. Every Flush that applied work freezes each shard into a
+/// GridSnapshot, rebuilds the stitch table from those frozen snapshots — a
 /// union-find over shard-local component labels, fed by the incrementally
 /// maintained boundary core-core edge set (see BoundaryStitcher) — then
-/// composes a ShardedSnapshot (per-shard frozen GridSnapshots + the stitch
+/// composes a ShardedSnapshot (the same per-shard snapshots + the stitch
 /// label table + the routing records, in copy-on-write pages of which only
 /// those with a delete or a new id since the last epoch are rebuilt) and
 /// publishes it by an atomic shared_ptr swap: one immutable epoch, readable
-/// lock-free from any number of threads while further updates flow.
-/// Query/ClusterIdOf/SameCluster are Flush + a resolve against the
-/// published snapshot; CurrentSnapshot() is the wait-free read-side entry
-/// point (the latest published epoch, no flush). An owner-core point
+/// lock-free from any number of threads while further updates flow. The
+/// stitch keys and the labels queries resolve are thus one set of frozen
+/// labels. Query is Flush + a resolve against the published snapshot;
+/// CurrentSnapshot() is the wait-free read-side entry point (the latest
+/// published epoch, no flush). An owner-core point
 /// belongs exactly to its owner's component; a point that is non-core in
 /// its owner shard takes the union of the memberships every holding shard
 /// computes for it, which restores the cross-boundary attachments a single
@@ -99,24 +101,12 @@ class ShardedClusterer : public Clusterer {
 
   /// Publishes pending batches, blocks until every shard applied its stream,
   /// folds the boundary core deltas into the stitcher, and — when anything
-  /// changed — rebuilds the stitch label table for a new epoch and publishes
-  /// a fresh ShardedSnapshot.
+  /// changed — publishes a new epoch: PublishSnapshot.
   void Flush() override;
 
   std::vector<PointId> AlivePoints() const override;
   const DbscanParams& params() const override { return params_; }
   int64_t size() const override { return alive_; }
-
-  /// Stitched global label of `id`'s cluster: an owner-core point's own
-  /// component; for a non-core point, the least label of the clusters
-  /// containing it (a DBSCAN border point may belong to several);
-  /// kNoCluster for noise or dead ids. Labels are comparable between calls
-  /// only within one epoch (i.e. until the next update batch is applied).
-  /// Implies Flush.
-  ClusterLabel ClusterIdOf(PointId id);
-
-  /// True when some cluster contains both points. Implies Flush.
-  bool SameCluster(PointId a, PointId b);
 
   /// Monotone counter bumped by every stitch rebuild (written by the ingest
   /// thread, readable from any thread — e.g. the watchdog monitor).
@@ -202,13 +192,15 @@ class ShardedClusterer : public Clusterer {
   void ApplyOp(Shard& shard, const Op& op);
   /// Fixes the partition from the warmup buffer and replays it in order.
   void FinishWarmup();
-  /// Labels callback for BoundaryStitcher::Rebuild.
-  void LabelsOf(PointId gid, std::vector<BoundaryStitcher::LabelKey>* out);
-  /// Composes and publishes the ShardedSnapshot of the current epoch.
-  /// Requires quiescent workers (call right after the drain barrier).
-  void PublishSnapshot();
-  /// Rebuilds the stitch label table and bumps the epoch.
-  void RebuildLabels();
+  /// Freezes every shard; when `relabel`, rebuilds the stitch label table
+  /// from those snapshots for a new epoch; then composes and publishes the
+  /// ShardedSnapshot of the epoch from the same snapshots. Requires
+  /// quiescent workers (call right after the drain barrier).
+  void PublishSnapshot(bool relabel);
+  /// Rebuilds the stitch label table, keyed on the core bits and CC labels
+  /// of `shard_snaps` (one frozen snapshot per shard), and bumps the epoch.
+  void RebuildLabels(
+      const std::vector<std::shared_ptr<const GridSnapshot>>& shard_snaps);
 
   DbscanParams params_;
   Options options_;

@@ -99,29 +99,4 @@ CGroupByResult ShardedSnapshot::Query(const std::vector<PointId>& q) const {
   return result;
 }
 
-ClusterLabel ShardedSnapshot::LabelOf(PointId id) const {
-  if (!alive(id)) return kNoCluster;
-  std::vector<ClusterLabel> labels;
-  Labels(id, &labels);
-  return labels.empty() ? kNoCluster : labels.front();
-}
-
-bool ShardedSnapshot::SameCluster(PointId a, PointId b) const {
-  if (!alive(a) || !alive(b)) return false;
-  std::vector<ClusterLabel> la, lb;
-  Labels(a, &la);
-  Labels(b, &lb);
-  // Both sorted; any common label means a shared cluster.
-  size_t i = 0, j = 0;
-  while (i < la.size() && j < lb.size()) {
-    if (la[i] == lb[j]) return true;
-    if (la[i] < lb[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
-}
-
 }  // namespace ddc

@@ -70,13 +70,6 @@ class ShardedSnapshot final : public ClusterSnapshot {
   /// union of the memberships every holding shard computes. Thread-safe.
   void Labels(PointId id, std::vector<ClusterLabel>* out) const;
 
-  /// Least label of the clusters containing `id`; kNoCluster for noise or
-  /// ids dead at this epoch.
-  ClusterLabel LabelOf(PointId id) const;
-
-  /// True when some cluster contains both points at this epoch.
-  bool SameCluster(PointId a, PointId b) const;
-
  private:
   struct RoutePage {
     Route routes[kPageSize];

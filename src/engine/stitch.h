@@ -19,15 +19,12 @@ namespace ddc {
 /// keep their (shard, local cc) identity. Two labels compare equal iff they
 /// name the same global cluster at the epoch they were resolved in.
 struct ClusterLabel {
-  /// kStitchedShard for stitched roots, kNoClusterShard for "no cluster",
-  /// else the owning shard of a purely shard-local component.
-  int32_t shard = -2;
-  uint64_t id = 0;
-
   static constexpr int32_t kStitchedShard = -1;
-  static constexpr int32_t kNoClusterShard = -2;
 
-  bool valid() const { return shard != kNoClusterShard; }
+  /// kStitchedShard for stitched roots, else the owning shard of a purely
+  /// shard-local component.
+  int32_t shard = kStitchedShard;
+  uint64_t id = 0;
 
   friend bool operator==(const ClusterLabel& a, const ClusterLabel& b) {
     return a.shard == b.shard && a.id == b.id;
@@ -39,9 +36,6 @@ struct ClusterLabel {
     return a.shard != b.shard ? a.shard < b.shard : a.id < b.id;
   }
 };
-
-/// The "no cluster" sentinel (noise / dead point).
-inline constexpr ClusterLabel kNoCluster{ClusterLabel::kNoClusterShard, 0};
 
 /// Cross-shard cluster stitching (the engine's GUM complement): maintains
 /// the set of *boundary core points* — points that are core in their owner
@@ -90,8 +84,8 @@ class BoundaryStitcher {
                : 0;
   }
 
-  /// A shard-local component label: `cc` as reported by shard `shard`'s
-  /// connectivity structure at the current epoch.
+  /// A shard-local component label: `cc` as frozen in shard `shard`'s
+  /// snapshot of the current epoch.
   struct LabelKey {
     int32_t shard = 0;
     uint64_t cc = 0;
@@ -146,13 +140,8 @@ class BoundaryStitcher {
   void Rebuild(
       const std::function<void(PointId, std::vector<LabelKey>*)>& labels_of);
 
-  /// Canonical label for shard-local component `cc` of `shard`, as of the
-  /// last Rebuild (identity before the first one).
-  ClusterLabel Resolve(int32_t shard, uint64_t cc) const {
-    return table_->Resolve(shard, cc);
-  }
-
-  /// The frozen label table of the last Rebuild; never null.
+  /// The frozen label table of the last Rebuild (resolving every label to
+  /// itself before the first one); never null.
   std::shared_ptr<const LabelTable> table() const { return table_; }
 
  private:

@@ -86,41 +86,26 @@ std::string WalSegmentName(uint64_t first_seq) {
   return buf;
 }
 
-WalWriter::WalWriter(std::string path, bool single_file,
-                     const Options& options)
-    : options_(options), single_file_(single_file) {
+WalWriter::WalWriter(const std::string& dir, const Options& options)
+    : options_(options), dir_(dir) {
   if (!options_.factory) options_.factory = DefaultFileFactory();
-  if (single_file_) {
-    single_path_ = std::move(path);
-  } else {
-    dir_ = std::move(path);
-    std::error_code ec;
-    std::filesystem::create_directories(dir_, ec);
-    // A writer never appends to (or clobbers) a log it did not write:
-    // recovery owns pre-existing segments.
-    std::vector<std::string> existing;
-    std::string list_error;
-    if (!ListWalSegments(dir_, &existing, &list_error)) {
-      Latch("wal dir unusable: " + list_error);
-      return;
-    }
-    if (!existing.empty()) {
-      Latch("wal dir " + dir_ + " already contains " +
-            std::to_string(existing.size()) +
-            " segment(s); refusing to append (recover or use a fresh dir)");
-      return;
-    }
+  std::error_code ec;
+  std::filesystem::create_directories(dir_, ec);
+  // A writer never appends to (or clobbers) a log it did not write:
+  // recovery owns pre-existing segments.
+  std::vector<std::string> existing;
+  std::string list_error;
+  if (!ListWalSegments(dir_, &existing, &list_error)) {
+    Latch("wal dir unusable: " + list_error);
+    return;
+  }
+  if (!existing.empty()) {
+    Latch("wal dir " + dir_ + " already contains " +
+          std::to_string(existing.size()) +
+          " segment(s); refusing to append (recover or use a fresh dir)");
+    return;
   }
   OpenSegment(next_seq_);
-}
-
-WalWriter::WalWriter(const std::string& dir, const Options& options)
-    : WalWriter(dir, /*single_file=*/false, options) {}
-
-std::unique_ptr<WalWriter> WalWriter::OpenSingleFile(const std::string& path,
-                                                     const Options& options) {
-  return std::unique_ptr<WalWriter>(
-      new WalWriter(path, /*single_file=*/true, options));
 }
 
 WalWriter::~WalWriter() { Close(); }
@@ -131,8 +116,7 @@ void WalWriter::Latch(const std::string& error) {
 }
 
 bool WalWriter::OpenSegment(uint64_t first_seq) {
-  const std::string path =
-      single_file_ ? single_path_ : dir_ + "/" + WalSegmentName(first_seq);
+  const std::string path = dir_ + "/" + WalSegmentName(first_seq);
   file_ = options_.factory(path);
   std::string header;
   header.append(kSegmentMagic, sizeof(kSegmentMagic));
@@ -152,7 +136,7 @@ bool WalWriter::Append(WalOp& op) {
   DDC_HISTOGRAM_SCOPED("wal.append");
   op.seq = next_seq_;
   // Rotate before the record so a segment never splits one.
-  if (!single_file_ && file_->bytes_written() >= options_.segment_bytes) {
+  if (file_->bytes_written() >= options_.segment_bytes) {
     if (!file_->Sync() || !file_->Close()) {
       Latch("wal rotation failed: " + file_->error());
       return false;

@@ -98,11 +98,6 @@ class WalWriter {
   /// write (recovery owns old logs). Check ok() after construction.
   WalWriter(const std::string& dir, const Options& options);
 
-  /// Single-file mode: all records go to exactly `path` (no rotation, no
-  /// directory scan) — the `--oplog-out` format, replayable by ReplayWalFile.
-  static std::unique_ptr<WalWriter> OpenSingleFile(const std::string& path,
-                                                   const Options& options);
-
   ~WalWriter();
 
   /// Assigns the next seq to `op` (in place), appends the record, and
@@ -124,15 +119,11 @@ class WalWriter {
   int segments_opened() const { return segments_opened_; }
 
  private:
-  WalWriter(std::string path, bool single_file, const Options& options);
-
   bool OpenSegment(uint64_t first_seq);
   void Latch(const std::string& error);
 
   Options options_;
   std::string dir_;
-  std::string single_path_;
-  bool single_file_ = false;
 
   std::unique_ptr<WritableFile> file_;
   uint64_t next_seq_ = 1;
@@ -169,9 +160,10 @@ bool ReplayWal(const std::string& dir,
                const std::function<void(const WalOp&)>& fn,
                WalReplayReport* report, std::string* error);
 
-/// Replays a single segment/oplog file. `expect_first_seq` (0 = accept the
-/// header's value) pins the header; `is_last` selects tail-truncation
-/// semantics (true) or hard-error-on-corruption (false).
+/// Replays one segment file: ReplayWal's per-segment reader.
+/// `expect_first_seq` (0 = accept the header's value) pins the header;
+/// `is_last` selects tail-truncation semantics (true) or
+/// hard-error-on-corruption (false).
 bool ReplayWalFile(const std::string& path, uint64_t expect_first_seq,
                    bool is_last, const std::function<void(const WalOp&)>& fn,
                    WalReplayReport* report, std::string* error);

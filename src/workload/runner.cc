@@ -172,15 +172,6 @@ RunStats RunWorkload(Clusterer& clusterer, const Workload& workload,
     const double us =
         std::chrono::duration<double, std::micro>(t1 - t0).count();
 
-    // Outside the timed window: the oplog is observability, not
-    // durability.
-    if (is_update && options.oplog != nullptr &&
-        !options.oplog->Append(logged)) {
-      std::fprintf(stderr, "runner: oplog append failed: %s\n",
-                   options.oplog->error().c_str());
-      std::abort();
-    }
-
     total_cost_us += us;
     ++stats.ops_executed;
     hist->Record(us);
@@ -226,11 +217,6 @@ RunStats RunWorkload(Clusterer& clusterer, const Workload& workload,
       std::abort();
     }
     stats.wal_last_seq = options.wal->next_seq() - 1;
-  }
-  if (options.oplog != nullptr && !options.oplog->Sync()) {
-    std::fprintf(stderr, "runner: final oplog sync failed: %s\n",
-                 options.oplog->error().c_str());
-    std::abort();
   }
 
   // Stop the read side inside the timing window too — reader throughput is

@@ -93,11 +93,6 @@ struct RunOptions {
   /// counts as done, so measured update cost includes the durability bill.
   /// A WAL write error aborts the run (durability is not best-effort).
   WalWriter* wal = nullptr;
-
-  /// When non-null, the applied update stream is also recorded here (the
-  /// `--oplog-out` satellite) — same record format, written *outside* the
-  /// timed window: it is observability, not durability.
-  WalWriter* oplog = nullptr;
 };
 
 /// Replays `workload` against `clusterer`, timing every operation.

@@ -17,6 +17,18 @@ TEST(ConnectivityTest, EmptyGraph) {
   EXPECT_TRUE(c.Connected(1, 1));
   EXPECT_FALSE(c.Connected(0, 2));
   EXPECT_NE(c.ComponentId(0), c.ComponentId(2));
+  // Nothing touched vertex 1: its id is synthesized, odd (node addresses
+  // are even), distinct from the others and stable across lookups.
+  const uint64_t untouched = c.ComponentId(1);
+  EXPECT_EQ(untouched & 1, 1u);
+  EXPECT_EQ(c.ComponentId(1), untouched);
+  EXPECT_NE(untouched, c.ComponentId(0));
+  EXPECT_NE(untouched, c.ComponentId(2));
+  EXPECT_EQ(c.ComponentId(0) & 1, 0u);
+  // Its first edge gives it its component's id.
+  c.AddEdge(1, 2);
+  EXPECT_EQ(c.ComponentId(1), c.ComponentId(2));
+  EXPECT_EQ(c.ComponentId(1) & 1, 0u);
 }
 
 TEST(ConnectivityTest, TriangleSurvivesOneRemoval) {

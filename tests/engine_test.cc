@@ -324,17 +324,17 @@ TEST(BoundaryStitcherTest, RebuildUnionsAcrossEdgesAndSamePoint) {
     }
   });
 
-  const ClusterLabel a = stitch.Resolve(0, 10);
+  const ClusterLabel a = stitch.table()->Resolve(0, 10);
   EXPECT_EQ(a.shard, ClusterLabel::kStitchedShard);
   // Edge rule: shard 0's component 10 and shard 1's component 20 merge.
-  EXPECT_EQ(stitch.Resolve(1, 20), a);
+  EXPECT_EQ(stitch.table()->Resolve(1, 20), a);
   // Same-point rule: shard 1's component 77 contains point 1 too.
-  EXPECT_EQ(stitch.Resolve(1, 77), a);
+  EXPECT_EQ(stitch.table()->Resolve(1, 77), a);
   // Shard 2's component is interned but alone.
-  const ClusterLabel c = stitch.Resolve(2, 30);
+  const ClusterLabel c = stitch.table()->Resolve(2, 30);
   EXPECT_NE(c, a);
   // Labels never seen by the stitch resolve to themselves.
-  const ClusterLabel raw = stitch.Resolve(3, 99);
+  const ClusterLabel raw = stitch.table()->Resolve(3, 99);
   EXPECT_EQ(raw.shard, 3);
   EXPECT_EQ(raw.id, 99u);
   EXPECT_NE(raw, a);
@@ -349,14 +349,14 @@ TEST(BoundaryStitcherTest, RebuildTracksCurrentEdgesOnly) {
     out->push_back({gid == 1 ? 0 : 1, static_cast<uint64_t>(gid * 10)});
   };
   stitch.Rebuild(labels);
-  EXPECT_EQ(stitch.Resolve(0, 10), stitch.Resolve(1, 20));
+  EXPECT_EQ(stitch.table()->Resolve(0, 10), stitch.table()->Resolve(1, 20));
 
   stitch.RemoveCore(2);
   stitch.Rebuild([](PointId, std::vector<LabelKey>* out) {
     out->push_back({0, 10});
   });
   // The old union is gone: shard 1's label is raw again.
-  EXPECT_EQ(stitch.Resolve(1, 20).shard, 1);
+  EXPECT_EQ(stitch.table()->Resolve(1, 20).shard, 1);
 }
 
 }  // namespace

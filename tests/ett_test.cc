@@ -18,6 +18,12 @@ TEST(EulerTourForestTest, SingletonBasics) {
   EXPECT_FALSE(f.Connected(0, 1));
   EXPECT_EQ(f.TreeSize(0), 1);
   EXPECT_NE(f.Representative(0), f.Representative(1));
+  EXPECT_NE(f.Representative(0), nullptr);
+  // Nothing touched vertex 2, so it has no self-arc and no representative.
+  EXPECT_EQ(f.Representative(2), nullptr);
+  f.Link(1, 2);
+  EXPECT_EQ(f.Representative(2), f.Representative(1));
+  EXPECT_NE(f.Representative(2), nullptr);
 }
 
 TEST(EulerTourForestTest, LinkCutRoundTrip) {
@@ -75,8 +81,12 @@ TEST(EulerTourForestTest, RepresentativeStableAcrossQueries) {
   f.EnsureVertices(6);
   f.Link(0, 1);
   f.Link(1, 2);
+  // The tour head is a property of the tour, not of the splay shape: the
+  // splaying queries between the lookups must not move it.
   const EttNode* r1 = f.Representative(2);
+  EXPECT_TRUE(f.Connected(0, 2));
   const EttNode* r2 = f.Representative(0);
+  EXPECT_EQ(f.TreeSize(1), 3);
   const EttNode* r3 = f.Representative(1);
   EXPECT_EQ(r1, r2);
   EXPECT_EQ(r2, r3);

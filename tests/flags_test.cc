@@ -42,11 +42,13 @@ TEST(FlagsTest, BareFlagIsTrue) {
 
 TEST(FlagsTest, UnknownFlagsAreKeptAndReadable) {
   // The parser is schema-free: flags nothing registered are still stored, so
-  // a bench can probe experimental knobs without declaring them.
+  // a bench can probe experimental knobs without declaring them. Reading a
+  // flag is what declares it to CheckAllRead.
   const Flags f = MakeFlags({"--totally-unknown=7"});
   EXPECT_TRUE(f.Has("totally-unknown"));
   EXPECT_EQ(f.GetInt("totally-unknown", 0), 7);
   EXPECT_FALSE(f.Has("totally_unknown"));  // No name normalization.
+  f.CheckAllRead();  // Must not abort.
 }
 
 TEST(FlagsTest, NumericValuesParseWhole) {
@@ -117,6 +119,21 @@ TEST(FlagsDeathTest, EmptyOrOutOfRangeNumericValuesAbort) {
   EXPECT_DEATH(f.GetDouble("inf", 0), "flag --inf=inf is not a finite");
   EXPECT_DEATH(f.GetDouble("nan", 0), "flag --nan=nan is not a finite");
   EXPECT_DEATH(f.GetDouble("huge", 0), "flag --huge=1e999 is not a finite");
+}
+
+// A flag no getter asked for would otherwise leave the experiment at its
+// default: `bench_fig12_full_2d --n=2000 --budegt=5` ran the 15 s budget.
+// Every unread flag is named; reading a flag, or asking whether it is
+// present, accepts it.
+TEST(FlagsDeathTest, UnreadFlagAbortsNamingIt) {
+  const Flags f = MakeFlags({"--n=2000", "--budegt=5", "--verbose"});
+  EXPECT_EQ(f.GetInt("n", 0), 2000);
+  EXPECT_DOUBLE_EQ(f.GetDouble("budget", 15.0), 15.0);
+  EXPECT_DEATH(f.CheckAllRead(), "unknown flag --budegt=5");
+  EXPECT_DEATH(f.CheckAllRead(), "unknown flag --verbose=true");
+  EXPECT_FALSE(f.GetBool("budegt", false));
+  EXPECT_TRUE(f.Has("verbose"));
+  f.CheckAllRead();  // Must not abort.
 }
 
 TEST(FlagsDeathTest, SingleDashArgumentAborts) {

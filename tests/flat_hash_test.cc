@@ -253,7 +253,9 @@ TEST(FlatHashDifferentialTest, RandomOpsMatchStdUnorderedMap) {
         const auto it = ref.find(key);
         int* v = flat.Find(key);
         ASSERT_EQ(v != nullptr, it != ref.end());
-        if (v != nullptr) ASSERT_EQ(*v, it->second);
+        if (v != nullptr) {
+          ASSERT_EQ(*v, it->second);
+        }
         break;
       }
     }

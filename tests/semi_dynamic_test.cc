@@ -7,6 +7,7 @@
 #include "common/random.h"
 #include "core/semi_dynamic_clusterer.h"
 #include "core/static_dbscan.h"
+#include "telemetry/metrics.h"
 #include "tests/test_util.h"
 
 namespace ddc {
@@ -167,6 +168,32 @@ TEST(SemiDynamicTest, EdgeCountStaysSparse) {
   for (const auto& p : BlobPoints(rng, 400, 2, 8.0, 5, 1.0, 0.1)) c.Insert(p);
   EXPECT_LE(c.num_graph_edges(),
             static_cast<int64_t>(c.grid().num_cells()) * 25);
+}
+
+// The semi-dynamic scheme never demotes, so the promotions over an insert
+// stream are exactly the final core points. GUM runs one emptiness probe
+// per missing edge to an ε-close core cell and adds an edge per proof, so
+// the edge counter is the grid graph's edge count and bounds the probes.
+TEST(SemiDynamicTest, WorkCountersTrackPromotionsAndGumProbes) {
+  Rng rng(13);
+  DbscanParams params{.dim = 2, .eps = 0.7, .min_pts = 3, .rho = 0.0};
+  const MetricsRegistry& metrics = MetricsRegistry::Instance();
+  const int64_t promotions0 = metrics.ValueOf("core.promotions");
+  const int64_t probes0 = metrics.ValueOf("semi.gum_probes");
+  const int64_t edges0 = metrics.ValueOf("semi.gum_edges");
+
+  SemiDynamicClusterer c(params);
+  for (const auto& p : BlobPoints(rng, 400, 2, 8.0, 5, 1.0, 0.1)) c.Insert(p);
+  int64_t core = 0;
+  for (PointId p = 0; p < c.grid().total_inserted(); ++p) {
+    core += c.is_core(p) ? 1 : 0;
+  }
+  EXPECT_GT(core, 0);
+  EXPECT_EQ(metrics.ValueOf("core.promotions") - promotions0, core);
+  const int64_t edges = metrics.ValueOf("semi.gum_edges") - edges0;
+  EXPECT_GT(edges, 0);
+  EXPECT_EQ(edges, c.num_graph_edges());
+  EXPECT_GE(metrics.ValueOf("semi.gum_probes") - probes0, edges);
 }
 
 }  // namespace

@@ -68,8 +68,26 @@ TEST(ShardedClustererTest, SingleShardIsVerbatimDoubleApprox) {
   EXPECT_EQ(sharded.size(), plain.size());
 }
 
+std::shared_ptr<const ShardedSnapshot> Published(
+    const ShardedClusterer& engine) {
+  return std::static_pointer_cast<const ShardedSnapshot>(
+      engine.CurrentSnapshot());
+}
+
+/// The stitched labels of the clusters containing `id` at the epoch the
+/// engine publishes next (sorted; empty for noise and dead ids).
+std::vector<ClusterLabel> LabelsAfterFlush(ShardedClusterer& engine,
+                                           PointId id) {
+  engine.Flush();
+  const std::shared_ptr<const ShardedSnapshot> snap = Published(engine);
+  std::vector<ClusterLabel> labels;
+  if (snap->alive(id)) snap->Labels(id, &labels);
+  return labels;
+}
+
 /// A core chain laid across every slab boundary: the cross-shard stitch must
-/// report one cluster end to end, through ClusterIdOf and SameCluster.
+/// report one cluster end to end, per point through the published epoch's
+/// labels and over the whole chain through Query.
 TEST(ShardedClustererTest, StitchConnectsChainAcrossAllBoundaries) {
   const DbscanParams params{.dim = 2, .eps = 6.0, .min_pts = 2, .rho = 0.001};
   ShardedClusterer engine(params, SmallOptions(4));
@@ -85,11 +103,11 @@ TEST(ShardedClustererTest, StitchConnectsChainAcrossAllBoundaries) {
   ASSERT_TRUE(engine.shard_map().initialized());
   EXPECT_EQ(engine.shard_map().shards(), 4);
 
-  const ClusterLabel head = engine.ClusterIdOf(ids.front());
-  ASSERT_TRUE(head.valid());
+  const std::vector<ClusterLabel> head = LabelsAfterFlush(engine, ids[0]);
+  ASSERT_EQ(head.size(), 1u);
+  EXPECT_EQ(head[0].shard, ClusterLabel::kStitchedShard);
   for (const PointId id : ids) {
-    EXPECT_EQ(engine.ClusterIdOf(id), head);
-    EXPECT_TRUE(engine.SameCluster(ids.front(), id));
+    EXPECT_TRUE(LabelsAfterFlush(engine, id) == head) << "id " << id;
   }
   EXPECT_GT(engine.num_boundary_points(), 0);
   EXPECT_GT(engine.num_boundary_edges(), 0);
@@ -101,16 +119,22 @@ TEST(ShardedClustererTest, StitchConnectsChainAcrossAllBoundaries) {
 
   // A far-away singleton (inserted after the partition is fixed) is noise.
   const PointId lonely = engine.Insert(Point{1000.0, 1000.0});
-  EXPECT_EQ(engine.ClusterIdOf(lonely), kNoCluster);
-  EXPECT_FALSE(engine.SameCluster(lonely, ids.front()));
+  EXPECT_TRUE(LabelsAfterFlush(engine, lonely).empty());
+  const CGroupByResult pair = engine.Query({lonely, ids[0]});
+  EXPECT_EQ(pair.groups, (std::vector<std::vector<PointId>>{{ids[0]}}));
+  EXPECT_EQ(pair.noise, (std::vector<PointId>{lonely}));
   EXPECT_EQ(engine.size(), static_cast<int64_t>(ids.size()) + 1);
 
   // Splitting the chain at a boundary splits the stitched cluster.
   engine.Delete(ids[4]);  // x = 20, on a slab edge.
-  EXPECT_FALSE(engine.SameCluster(ids.front(), ids.back()));
-  EXPECT_TRUE(engine.SameCluster(ids[0], ids[3]));
-  EXPECT_TRUE(engine.SameCluster(ids[5], ids[8]));
-  EXPECT_EQ(engine.ClusterIdOf(lonely), kNoCluster);
+  CGroupByResult split = engine.QueryAll();
+  split.Canonicalize();
+  EXPECT_EQ(split.groups,
+            (std::vector<std::vector<PointId>>{
+                {ids[0], ids[1], ids[2], ids[3]},
+                {ids[5], ids[6], ids[7], ids[8]}}));
+  EXPECT_EQ(split.noise, (std::vector<PointId>{lonely}));
+  EXPECT_TRUE(LabelsAfterFlush(engine, ids[4]).empty());
 }
 
 TEST(ShardedClustererTest, DeletesAndAlivePointsStayConsistent) {
@@ -207,17 +231,12 @@ TEST(ShardedClustererTest, InterleavedFlushesMatchOracleAtEveryShardCount) {
 // ---------------------------------------------------------------------------
 // Published epochs: routing records in copy-on-write pages
 
-std::shared_ptr<const ShardedSnapshot> Published(
-    const ShardedClusterer& engine) {
-  return std::static_pointer_cast<const ShardedSnapshot>(
-      engine.CurrentSnapshot());
-}
-
 /// Everything a snapshot answers about global ids [0, n): the point API
-/// per id, the alive count and one Query over all of them.
+/// per id (the labels of the dead and unborn ones left empty), the alive
+/// count and one Query over all of them.
 struct Answers {
   std::vector<bool> alive;
-  std::vector<ClusterLabel> labels;
+  std::vector<std::vector<ClusterLabel>> labels;
   int64_t size = 0;
   CGroupByResult query;
 };
@@ -228,7 +247,8 @@ Answers AnswersOf(const ShardedSnapshot& snap, PointId n) {
   std::iota(all.begin(), all.end(), 0);
   for (const PointId id : all) {
     a.alive.push_back(snap.alive(id));
-    a.labels.push_back(snap.LabelOf(id));
+    a.labels.emplace_back();
+    if (snap.alive(id)) snap.Labels(id, &a.labels.back());
   }
   a.size = snap.size();
   a.query = snap.Query(all);

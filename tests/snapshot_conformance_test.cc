@@ -98,7 +98,9 @@ struct InFlight {
       std::string why;
       EXPECT_TRUE(CheckSandwich(oracles->lower, got, oracles->upper, &why))
           << why;
-      if (rho == 0) EXPECT_EQ(got, oracles->lower);
+      if (rho == 0) {
+        EXPECT_EQ(got, oracles->lower);
+      }
     }
     snap = nullptr;
   }

@@ -52,6 +52,12 @@ TEST(UnionFindTest, MatchesNaiveLabels) {
         if (label[i] == lb) label[i] = la;
       }
     }
+    // The read-only find (which labels every frozen snapshot) walks the
+    // paths the last unions left uncompressed and agrees with Find.
+    for (int x = 0; x < n; ++x) {
+      const int root = uf.FindReadOnly(x);
+      EXPECT_EQ(root, uf.Find(x)) << "step " << step << " element " << x;
+    }
     // Spot-check a few pairs.
     for (int probe = 0; probe < 10; ++probe) {
       const int x = static_cast<int>(rng.NextBelow(n));

@@ -398,31 +398,6 @@ TEST(WalTest, RenamedSegmentHeaderMismatchIsAHardError) {
   EXPECT_NE(error.find("first_seq"), std::string::npos) << error;
 }
 
-TEST(WalTest, SingleFileOplogRoundTrip) {
-  const std::string dir = TempDir("oplog");
-  const std::string path = dir + "/oplog.log";
-  std::vector<WalOp> ops;
-  {
-    std::unique_ptr<WalWriter> oplog = WalWriter::OpenSingleFile(path, {});
-    ASSERT_TRUE(oplog->ok()) << oplog->error();
-    for (int i = 0; i < 12; ++i) {
-      WalOp op = i % 4 == 3 ? DeleteOp(i - 1) : InsertOp(i, i, i + 0.5);
-      ASSERT_TRUE(oplog->Append(op));
-      ops.push_back(op);
-    }
-    ASSERT_TRUE(oplog->Close());
-  }
-  WalReplayReport report;
-  std::string error;
-  std::vector<WalOp> got;
-  ASSERT_TRUE(ReplayWalFile(path, 0, /*is_last=*/true,
-                            [&](const WalOp& op) { got.push_back(op); },
-                            &report, &error))
-      << error;
-  ASSERT_EQ(got.size(), ops.size());
-  for (size_t i = 0; i < ops.size(); ++i) EXPECT_TRUE(got[i] == ops[i]);
-}
-
 TEST(WalTest, GroupCommitSyncsEveryNRecords) {
   const std::string dir = TempDir("group");
   WalWriter::Options options;

@@ -10,7 +10,7 @@
 //              --rho=0.001 --minpts=10 --budget=30 --seed=1 --out-dir=bench-out
 //   ddc_driver --list                         # print the scenario library
 //
-// Flags:
+// Flags (a flag the chosen mode does not read aborts the run, naming it):
 //   --scenario    ';'-separated scenario specs (grammar: name[:k=v,k=v...]).
 //                 Default: every registered scenario with default parameters.
 //   --methods     ';'- or ','-separated method specs from
@@ -63,9 +63,6 @@
 //   --wal-sync    fsync policy: 0 = never (default; a SIGKILL still loses
 //                 nothing — only power failure can), 1 = every record,
 //                 N > 1 = group commit every N records.
-//   --oplog-out   Record the applied op stream (WAL record format, single
-//                 file) for offline analysis/replay; with several runs in
-//                 one invocation each gets <oplog-out>.<scenario>_<method>.
 //   --recover     Recover from a --wal-dir run subdirectory: replay the
 //                 whole log into a fresh clusterer of the logged method
 //                 (truncating a torn tail, refusing corruption or a gap
@@ -273,6 +270,7 @@ int main(int argc, char** argv) {
   ddc::Flags flags(argc, argv);
 
   if (flags.GetBool("list", false)) {
+    flags.CheckAllRead();
     std::printf("Scenarios (spec grammar: name[:key=value,key=value...]):\n%s",
                 ddc::ScenarioHelp().c_str());
     std::printf("%s", ddc::MethodHelp().c_str());
@@ -281,7 +279,9 @@ int main(int argc, char** argv) {
 
   const std::string recover_dir = flags.GetString("recover", "");
   if (!recover_dir.empty()) {
-    return RunRecover(recover_dir, flags.GetBool("recover-verify", false));
+    const bool verify = flags.GetBool("recover-verify", false);
+    flags.CheckAllRead();
+    return RunRecover(recover_dir, verify);
   }
 
   std::string default_scenarios;
@@ -324,16 +324,11 @@ int main(int argc, char** argv) {
   DDC_CHECK(query_threads >= 0);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   const std::string out_dir = flags.GetString("out-dir", ".");
-  std::filesystem::create_directories(out_dir);
-
   const std::string metrics_out = flags.GetString("metrics-out", "");
   const std::string trace_out = flags.GetString("trace-out", "");
-  if (!trace_out.empty()) ddc::Trace::Enable();
 
   const std::string wal_dir = flags.GetString("wal-dir", "");
   const int wal_sync = static_cast<int>(flags.GetInt("wal-sync", 0));
-  const std::string oplog_out = flags.GetString("oplog-out", "");
-  const bool single_run = specs.size() == 1 && methods.size() == 1;
 
   // Live monitoring: the sampler runs whenever anything consumes it — a
   // ring dump or the stats server; the server additionally needs a port.
@@ -342,6 +337,17 @@ int main(int argc, char** argv) {
   const int stats_interval_ms =
       static_cast<int>(flags.GetInt("stats-interval-ms", 250));
   const std::string stats_ring_out = flags.GetString("stats-ring-out", "");
+
+  // Clustering parameters; eps defaults per scenario, from its dimension.
+  const bool has_eps = flags.Has("eps");
+  const double eps = flags.GetDouble("eps", 0);
+  const double eps_over_d = flags.GetDouble("eps-over-d", 100.0);
+  const int min_pts = static_cast<int>(flags.GetInt("minpts", 10));
+  const double rho = flags.GetDouble("rho", 0.001);
+  flags.CheckAllRead();
+
+  std::filesystem::create_directories(out_dir);
+  if (!trace_out.empty()) ddc::Trace::Enable();
 
   std::unique_ptr<ddc::StatsSampler> sampler;
   if (has_stats_port || !stats_ring_out.empty()) {
@@ -380,11 +386,9 @@ int main(int argc, char** argv) {
 
     ddc::DbscanParams params;
     params.dim = workload.dim;
-    params.eps = flags.Has("eps")
-                     ? flags.GetDouble("eps", 0)
-                     : flags.GetDouble("eps-over-d", 100.0) * workload.dim;
-    params.min_pts = static_cast<int>(flags.GetInt("minpts", 10));
-    params.rho = flags.GetDouble("rho", 0.001);
+    params.eps = has_eps ? eps : eps_over_d * workload.dim;
+    params.min_pts = min_pts;
+    params.rho = rho;
     params.Validate();
 
     for (const std::string& method : methods) {
@@ -444,20 +448,6 @@ int main(int argc, char** argv) {
         }
         options.wal = wal.get();
       }
-      std::unique_ptr<ddc::WalWriter> oplog;
-      if (!oplog_out.empty()) {
-        const std::string path =
-            single_run ? oplog_out
-                       : oplog_out + "." + ddc::SanitizeForFilename(scenario) +
-                             "_" + ddc::SanitizeForFilename(method);
-        oplog = ddc::WalWriter::OpenSingleFile(path, {});
-        if (!oplog->ok()) {
-          std::fprintf(stderr, "cannot open oplog %s: %s\n", path.c_str(),
-                       oplog->error().c_str());
-          return 1;
-        }
-        options.oplog = oplog.get();
-      }
 
       const std::vector<ddc::MetricSample> metrics_before =
           ddc::MetricsRegistry::Instance().Snapshot();
@@ -465,11 +455,6 @@ int main(int argc, char** argv) {
           ddc::RunWorkload(*clusterer, workload, options);
       if (wal != nullptr && !wal->Close()) {
         std::fprintf(stderr, "wal close failed: %s\n", wal->error().c_str());
-        return 1;
-      }
-      if (oplog != nullptr && !oplog->Close()) {
-        std::fprintf(stderr, "oplog close failed: %s\n",
-                     oplog->error().c_str());
         return 1;
       }
 
