@@ -102,7 +102,7 @@ void FullyDynamicClusterer::DestroyInstance(CellId a, CellId b,
 void FullyDynamicClusterer::OnCorePromoted(PointId p, CellId cell) {
   DDC_COUNTER_INC("core.promotions");
   snapshot_cache_.MarkCoreChange(p, cell);
-  if (core_observer_) core_observer_(p, true);
+  ++num_core_;
   CellCoreState& s = State(cell);
   const bool was_core_cell = s.is_core_cell();
   s.core_set->Insert(p);
@@ -133,7 +133,7 @@ void FullyDynamicClusterer::OnCorePromoted(PointId p, CellId cell) {
 void FullyDynamicClusterer::OnCoreDemoted(PointId p, CellId cell) {
   DDC_COUNTER_INC("core.demotions");
   snapshot_cache_.MarkCoreChange(p, cell);
-  if (core_observer_) core_observer_(p, false);
+  --num_core_;
   CellCoreState& s = State(cell);
   s.core_set->Remove(p);
 

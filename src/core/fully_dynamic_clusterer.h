@@ -2,7 +2,6 @@
 #define DDC_CORE_FULLY_DYNAMIC_CLUSTERER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -52,15 +51,9 @@ class FullyDynamicClusterer : public Clusterer {
   int64_t num_abcp_instances() const {
     return static_cast<int64_t>(instances_.size() - free_instances_.size());
   }
+  /// Alive points that are core now.
+  int64_t num_core_points() const { return num_core_; }
   const Grid& grid() const { return grid_; }
-
-  /// Observer of core-status transitions: invoked as `obs(p, now_core)`
-  /// immediately after point `p` turns core (true) or loses core status
-  /// (false), including the self-demotion of a point being deleted. The
-  /// sharded engine uses this to maintain boundary core sets incrementally;
-  /// unset (the default) costs nothing on the update path.
-  using CoreObserver = std::function<void(PointId, bool)>;
-  void set_core_observer(CoreObserver obs) { core_observer_ = std::move(obs); }
 
  private:
   /// GUM (Section 7.4).
@@ -86,7 +79,7 @@ class FullyDynamicClusterer : public Clusterer {
   std::vector<int32_t> free_instances_;
   /// Shared per-point slot registry for the cells' emptiness structures.
   std::vector<int32_t> core_slots_;
-  CoreObserver core_observer_;
+  int64_t num_core_ = 0;
   int64_t num_edges_ = 0;
   SnapshotCache snapshot_cache_;
 };

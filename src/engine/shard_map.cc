@@ -41,9 +41,9 @@ void ShardMap::InitFromSample(const std::vector<Point>& sample) {
   // so the cut layout stays well defined; the floor below still applies.
   if (width_ <= 0) width_ = 1;
   // Slabs narrower than 2·halo would replicate every point into several
-  // shards and register nearly every core point with the stitcher — an
+  // shards and make nearly every core point a stitch point — an
   // unrepresentative (or empty) warmup sample must degrade toward fewer
-  // effective shards, not toward all-pairs stitching. Width >= 2·halo caps
+  // effective shards, not toward stitching everything. Width >= 2·halo caps
   // the replication factor at 2 in exact arithmetic.
   width_ = std::max(width_, 2 * halo_);
   // In floating point, HoldersOf needs every gap b - a between consecutive

@@ -18,7 +18,7 @@ ShardedClusterer::ShardedClusterer(const DbscanParams& params,
     : params_(params),
       options_(options),
       map_(options.shards, params.dim, params.eps_outer()),
-      stitcher_(params.dim, params.eps) {
+      stitch_(std::make_shared<const LabelTable>()) {
   params_.Validate();
   DDC_CHECK(options_.shards >= 1 && options_.shards <= kMaxShards);
   DDC_CHECK(options_.threads >= 0 && options_.threads <= kMaxShards);
@@ -32,16 +32,6 @@ ShardedClusterer::ShardedClusterer(const DbscanParams& params,
     shard->index = i;
     shard->worker = i % options_.threads;
     shard->clusterer = std::make_unique<FullyDynamicClusterer>(params_);
-    // The observer runs on the shard's worker thread and only touches
-    // worker-side state; Flush's drain hands it to the ingest thread.
-    Shard* s = shard.get();
-    shard->clusterer->set_core_observer([s](PointId local, bool now_core) {
-      s->core_count += now_core ? 1 : -1;
-      if (s->is_boundary[local]) {
-        s->deltas.push_back(CoreDelta{s->global_of[local], now_core,
-                                      s->clusterer->grid().point(local)});
-      }
-    });
     shards_.push_back(std::move(shard));
   }
   pool_ = std::make_unique<ThreadPool>(options_.threads);
@@ -86,7 +76,7 @@ PointId ShardedClusterer::Insert(const Point& p) {
   ++alive_;
 
   if (!map_.initialized()) {
-    warmup_buffer_.push_back(Op{gid, kInvalidPoint, true, false, 0, p});
+    warmup_buffer_.push_back(Op{gid, kInvalidPoint, true, 0, p});
     ++warmup_inserts_;
     if (warmup_inserts_ >= options_.warmup) FinishWarmup();
     return gid;
@@ -103,7 +93,7 @@ void ShardedClusterer::Delete(PointId id) {
   --alive_;
 
   if (!map_.initialized()) {
-    warmup_buffer_.push_back(Op{id, kInvalidPoint, false, false, 0, Point{}});
+    warmup_buffer_.push_back(Op{id, kInvalidPoint, false, 0, Point{}});
     return;
   }
   RouteDelete(id);
@@ -119,11 +109,11 @@ void ShardedClusterer::RouteInsert(PointId gid, const Point& p) {
   rec.owner = static_cast<uint8_t>(owner);
   rec.first = static_cast<uint8_t>(holders.first);
   rec.last = static_cast<uint8_t>(holders.last);
+  if (holders.first != holders.last) two_holders_.push_back(gid);
 
   Op op;
   op.gid = gid;
   op.is_insert = true;
-  op.boundary = holders.first != holders.last;
   op.owner = static_cast<uint8_t>(owner);
   op.point = p;
   for (int t = holders.first; t <= holders.last; ++t) {
@@ -139,7 +129,6 @@ void ShardedClusterer::RouteDelete(PointId gid) {
   Op op;
   op.gid = gid;
   op.is_insert = false;
-  op.boundary = false;
   op.owner = rec.owner;
   for (int t = rec.first; t <= rec.last; ++t) {
     op.local = rec.local_in(t);
@@ -194,11 +183,8 @@ void ShardedClusterer::ProcessShard(Shard* shard) {
 void ShardedClusterer::ApplyOp(Shard& shard, const Op& op) {
   if (op.is_insert) {
     const bool owned = static_cast<int>(op.owner) == shard.index;
-    // Registered under the routed local id before Insert, so the core
-    // observer can translate it the moment the new point promotes.
     shard.global_of.push_back(op.gid);
     shard.is_owned.push_back(owned ? 1 : 0);
-    shard.is_boundary.push_back(owned && op.boundary ? 1 : 0);
     const PointId got = shard.clusterer->Insert(op.point);
     DDC_CHECK(got == op.local);
     (owned ? shard.owned_alive : shard.ghost_alive) += 1;
@@ -239,20 +225,11 @@ void ShardedClusterer::Flush() {
   for (auto& shard : shards_) PublishShard(*shard);
   pool_->Drain();
 
-  // Workers are quiescent: fold their boundary transitions into the stitch
-  // registry (per-shard order preserved; cross-shard order is irrelevant —
-  // adds probe the current registry and removes purge their own edges).
+  // Workers are quiescent: their state is safe to read until the next
+  // batch is published.
   bool dirty = false;
   int64_t max_owned = 0;
   for (auto& shard : shards_) {
-    for (const CoreDelta& d : shard->deltas) {
-      if (d.now_core) {
-        stitcher_.AddCore(shard->index, d.gid, d.point);
-      } else {
-        stitcher_.RemoveCore(d.gid);
-      }
-    }
-    shard->deltas.clear();
     if (shard->dirty) {
       dirty = true;
       shard->dirty = false;
@@ -279,25 +256,46 @@ void ShardedClusterer::RebuildLabels(
   // table goes into a fresh object — snapshots of older epochs keep
   // resolving against theirs. Its keys are the frozen labels the epoch's
   // queries resolve, read from the very snapshots it is composed of.
+  //
+  // One rule: an alive two-holder point p that is core in its owner A
+  // joins A's label of p with every label the other holder B gives p.
+  // Sound: a shard only undercounts, so B's core points are core, and each
+  // union joins two core points within (1+ρ)ε. Complete: a point core in
+  // both holders reports its own label in B (the same-point rule), and for
+  // core p owned by A and core q owned by B within ε, both lie within the
+  // halo of their cut, so B holds p, and p's labels in B include q's
+  // component: q's core cell certifies p's membership (the edge rule).
   DDC_TRACE_SPAN("engine.stitch_rebuild");
+  DDC_HISTOGRAM_SCOPED("engine.stitch_rebuild");
   DDC_COUNTER_INC("engine.stitch_rebuilds");
-  stitcher_.Rebuild(
-      [&](PointId gid, std::vector<BoundaryStitcher::LabelKey>* out) {
-        const ShardedSnapshot::Route& rec = points_[gid];
-        auto push = [&](int t) {
-          const GridSnapshot& shard = *shard_snaps[t];
-          const PointId local = rec.local_in(t);
-          if (shard.is_core(local)) {
-            out->push_back(
-                BoundaryStitcher::LabelKey{t, shard.CoreLabelOf(local)});
-          }
-        };
-        // Owner first; owner-core is the registration invariant.
-        push(rec.owner);
-        for (int t = rec.first; t <= rec.last; ++t) {
-          if (t != rec.owner) push(t);
-        }
-      });
+  LabelTable::Builder builder;
+  for (auto& shard : shards_) shard->boundary_core = 0;
+  int64_t points = 0;
+  int64_t edges = 0;
+  size_t kept = 0;
+  for (const PointId gid : two_holders_) {
+    const ShardedSnapshot::Route& rec = points_[gid];
+    if (!rec.alive) continue;
+    two_holders_[kept++] = gid;
+    const GridSnapshot& owner = *shard_snaps[rec.owner];
+    const PointId owner_local = rec.local_in(rec.owner);
+    if (!owner.is_core(owner_local)) continue;
+    ++points;
+    ++shards_[rec.owner]->boundary_core;
+    const LabelTable::Key key{rec.owner, owner.CoreLabelOf(owner_local)};
+    const int other = rec.first == rec.owner ? rec.last : rec.first;
+    shard_snaps[other]->ForEachMembershipLabel(
+        rec.local_in(other), [&](uint64_t cc) {
+          builder.Union(key, LabelTable::Key{other, cc});
+          ++edges;
+        });
+  }
+  two_holders_.resize(kept);
+  stitch_ = std::move(builder).Finish();
+  stitch_points_ = points;
+  stitch_edges_ = edges;
+  DDC_GAUGE_SET("engine.stitch_points", points);
+  DDC_GAUGE_SET("engine.stitch_edges", edges);
   epoch_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -321,7 +319,7 @@ void ShardedClusterer::PublishSnapshot(bool relabel) {
   const std::shared_ptr<const ShardedSnapshot> prev = published_.Load();
   published_.Store(std::make_shared<const ShardedSnapshot>(
       epoch(), points_, alive_, prev.get(), route_dirty_,
-      std::move(shard_snaps), stitcher_.table()));
+      std::move(shard_snaps), stitch_));
   route_dirty_.Clear();
 }
 
@@ -357,8 +355,8 @@ void ShardedClusterer::PublishShardMetrics() {
     set(i, "worker", shard->worker);
     set(i, "owned", shard->owned_alive);
     set(i, "ghosts", shard->ghost_alive);
-    set(i, "core", shard->core_count);
-    set(i, "boundary_core", stitcher_.boundary_count(i));
+    set(i, "core", shard->clusterer->num_core_points());
+    set(i, "boundary_core", shard->boundary_core);
     set(i, "ops_applied", shard->ops_applied);
     set(i, "batches", shard->batches_applied);
     set(i, "busy_us", static_cast<int64_t>(shard->busy_seconds * 1e6));

@@ -42,9 +42,10 @@ namespace ddc {
 /// don't-care decisions.
 ///
 /// Queries. Every Flush that applied work freezes each shard into a
-/// GridSnapshot, rebuilds the stitch table from those frozen snapshots — a
-/// union-find over shard-local component labels, fed by the incrementally
-/// maintained boundary core-core edge set (see BoundaryStitcher) — then
+/// GridSnapshot, rebuilds the stitch table from those frozen snapshots
+/// alone — a union-find over shard-local component labels (LabelTable),
+/// which joins the owner's label of every owner-core two-holder point with
+/// each label the other holder's snapshot gives that point — then
 /// composes a ShardedSnapshot (the same per-shard snapshots + the stitch
 /// label table + the routing records, in copy-on-write pages of which only
 /// those with a delete or a new id since the last epoch are rebuilt) and
@@ -100,8 +101,7 @@ class ShardedClusterer : public Clusterer {
   }
 
   /// Publishes pending batches, blocks until every shard applied its stream,
-  /// folds the boundary core deltas into the stitcher, and — when anything
-  /// changed — publishes a new epoch: PublishSnapshot.
+  /// and — when anything changed — publishes a new epoch: PublishSnapshot.
   void Flush() override;
 
   std::vector<PointId> AlivePoints() const override;
@@ -125,8 +125,11 @@ class ShardedClusterer : public Clusterer {
   static std::string ShardMetricName(int slab, const char* field);
 
   const ShardMap& shard_map() const { return map_; }
-  int64_t num_boundary_points() const { return stitcher_.num_points(); }
-  int64_t num_boundary_edges() const { return stitcher_.num_edges(); }
+  /// Alive two-holder points core in their owner, and the cross-shard
+  /// unions they made, at the last stitch rebuild (the engine.stitch_points
+  /// and engine.stitch_edges gauges).
+  int64_t num_boundary_points() const { return stitch_points_; }
+  int64_t num_boundary_edges() const { return stitch_edges_; }
 
  private:
   /// One queued update. Inserts carry the point and routing decisions made
@@ -136,26 +139,20 @@ class ShardedClusterer : public Clusterer {
     PointId gid;
     PointId local;
     bool is_insert;
-    bool boundary;  // Insert only: the point has a second holder.
     uint8_t owner;
     Point point;  // Insert only.
-  };
-
-  /// An owner-shard core-status transition of a boundary point, recorded by
-  /// the worker and folded into the stitcher at the next Flush.
-  struct CoreDelta {
-    PointId gid;
-    bool now_core;
-    Point point;
   };
 
   /// One slab's clusterer and queues. The fields sit on separate 64-byte
   /// cache lines by writer, so the ingest thread's per-op writes never
   /// invalidate the line the worker reads on every ApplyOp.
   struct Shard {
-    // Ingest side (caller thread only), written on every routed op.
+    // Ingest side (caller thread only): the open batch and the local-id
+    // counter, written on every routed op, and the stitch points owned
+    // here at the last rebuild (the boundary_core gauge).
     alignas(64) std::vector<Op> open;
     PointId next_local = 0;  // Local id the next insert routed here gets.
+    int64_t boundary_core = 0;
 
     // The MPSC batch queue. queue_hwm is the deepest `pending` has ever
     // been, sampled at publish time (ingest thread, under mu).
@@ -173,11 +170,8 @@ class ShardedClusterer : public Clusterer {
     std::vector<std::vector<Op>> applying;  // `pending`, swapped out.
     std::vector<PointId> global_of;   // local id -> global id
     std::vector<uint8_t> is_owned;    // local id -> owned here?
-    std::vector<uint8_t> is_boundary; // local id -> owned and near an edge?
-    std::vector<CoreDelta> deltas;
     int64_t owned_alive = 0;
     int64_t ghost_alive = 0;
-    int64_t core_count = 0;
     int64_t ops_applied = 0;
     int64_t batches_applied = 0;
     double busy_seconds = 0;
@@ -197,8 +191,9 @@ class ShardedClusterer : public Clusterer {
   /// ShardedSnapshot of the epoch from the same snapshots. Requires
   /// quiescent workers (call right after the drain barrier).
   void PublishSnapshot(bool relabel);
-  /// Rebuilds the stitch label table, keyed on the core bits and CC labels
-  /// of `shard_snaps` (one frozen snapshot per shard), and bumps the epoch.
+  /// Rebuilds the stitch label table from `shard_snaps` (one frozen
+  /// snapshot per shard) alone, sets the stitch gauges, drops dead ids from
+  /// the two-holder list, and bumps the epoch.
   void RebuildLabels(
       const std::vector<std::shared_ptr<const GridSnapshot>>& shard_snaps);
 
@@ -215,12 +210,20 @@ class ShardedClusterer : public Clusterer {
   std::vector<ShardedSnapshot::Route> points_;
   SnapshotDirtySet route_dirty_;
   int64_t alive_ = 0;
+  /// Global ids routed to two holders, alive or deleted since the last
+  /// stitch rebuild (caller thread only).
+  std::vector<PointId> two_holders_;
 
   /// Warmup buffer: the op stream before the partition is fixed.
   std::vector<Op> warmup_buffer_;
   int64_t warmup_inserts_ = 0;
 
-  BoundaryStitcher stitcher_;
+  /// The stitch label table of the last rebuild (resolving every label to
+  /// itself before the first), and the sizes behind num_boundary_points()
+  /// and num_boundary_edges().
+  std::shared_ptr<const LabelTable> stitch_;
+  int64_t stitch_points_ = 0;
+  int64_t stitch_edges_ = 0;
   std::atomic<uint64_t> epoch_{0};
 
   /// Last max/mean owned-occupancy imbalance, in milli-units (1500 =

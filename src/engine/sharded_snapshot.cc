@@ -13,7 +13,7 @@ ShardedSnapshot::ShardedSnapshot(
     uint64_t epoch, const std::vector<Route>& routes, int64_t alive,
     const ShardedSnapshot* prev, const SnapshotDirtySet& dirty,
     std::vector<std::shared_ptr<const GridSnapshot>> shards,
-    std::shared_ptr<const BoundaryStitcher::LabelTable> stitch)
+    std::shared_ptr<const LabelTable> stitch)
     : ClusterSnapshot(epoch),
       num_ids_(static_cast<int64_t>(routes.size())),
       alive_(alive),

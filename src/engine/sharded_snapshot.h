@@ -55,7 +55,7 @@ class ShardedSnapshot final : public ClusterSnapshot {
                   int64_t alive, const ShardedSnapshot* prev,
                   const SnapshotDirtySet& dirty,
                   std::vector<std::shared_ptr<const GridSnapshot>> shards,
-                  std::shared_ptr<const BoundaryStitcher::LabelTable> stitch);
+                  std::shared_ptr<const LabelTable> stitch);
 
   CGroupByResult Query(const std::vector<PointId>& q) const override;
 
@@ -83,7 +83,7 @@ class ShardedSnapshot final : public ClusterSnapshot {
   int64_t alive_ = 0;
   std::vector<std::shared_ptr<const RoutePage>> pages_;
   std::vector<std::shared_ptr<const GridSnapshot>> shards_;
-  std::shared_ptr<const BoundaryStitcher::LabelTable> stitch_;
+  std::shared_ptr<const LabelTable> stitch_;
 };
 
 }  // namespace ddc

@@ -2,8 +2,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -280,83 +282,51 @@ TEST(ShardMapTest, EmptySampleStillAppliesTheWidthFloor) {
 }
 
 // ---------------------------------------------------------------------------
-// BoundaryStitcher
+// LabelTable
 
-using LabelKey = BoundaryStitcher::LabelKey;
+/// The builder in isolation. Which pairs the engine reports, and that they
+/// join the right clusters, is checked end to end in
+/// sharded_clusterer_test.cc.
+TEST(LabelTableTest, BuilderMergesReportedPairsPerEpoch) {
+  using Key = LabelTable::Key;
+  LabelTable::Builder builder;
+  // Shard 0's component 10 meets shard 1's 20, which meets shard 2's 30;
+  // shard 1's 77 meets shard 2's 88 only.
+  builder.Union(Key{0, 10}, Key{1, 20});
+  builder.Union(Key{1, 20}, Key{2, 30});
+  builder.Union(Key{1, 77}, Key{2, 88});
+  const std::shared_ptr<const LabelTable> first =
+      std::move(builder).Finish();
 
-TEST(BoundaryStitcherTest, EdgesRequireCrossShardAndProximity) {
-  BoundaryStitcher stitch(2, /*eps=*/10.0);
-  stitch.AddCore(0, 1, P2(0, 0));
-  stitch.AddCore(0, 2, P2(5, 0));    // Same shard: no edge.
-  stitch.AddCore(1, 3, P2(8, 0));    // Cross shard, within 10: edge to 1 & 2.
-  stitch.AddCore(1, 4, P2(100, 0));  // Too far: no edge.
-  EXPECT_EQ(stitch.num_points(), 4);
-  EXPECT_EQ(stitch.num_edges(), 2);
-  EXPECT_EQ(stitch.boundary_count(0), 2);
-  EXPECT_EQ(stitch.boundary_count(1), 2);
-
-  stitch.RemoveCore(3);
-  EXPECT_EQ(stitch.num_edges(), 0);
-  EXPECT_EQ(stitch.num_points(), 3);
-  EXPECT_FALSE(stitch.Contains(3));
-
-  // Re-adding rediscovers the edges symmetrically.
-  stitch.AddCore(1, 3, P2(8, 0));
-  EXPECT_EQ(stitch.num_edges(), 2);
-}
-
-TEST(BoundaryStitcherTest, RebuildUnionsAcrossEdgesAndSamePoint) {
-  BoundaryStitcher stitch(2, 10.0);
-  stitch.AddCore(0, 1, P2(0, 0));
-  stitch.AddCore(1, 2, P2(6, 0));   // Edge 1-2 across shards 0/1.
-  stitch.AddCore(2, 3, P2(50, 0));  // Isolated in shard 2.
-
-  stitch.Rebuild([](PointId gid, std::vector<LabelKey>* out) {
-    // Owner labels 10*gid; point 1 is additionally locally core in shard 1
-    // under that shard's label 77 (the same-point rule must merge it).
-    if (gid == 1) {
-      out->push_back({0, 10});
-      out->push_back({1, 77});
-    } else if (gid == 2) {
-      out->push_back({1, 20});
-    } else {
-      out->push_back({2, 30});
-    }
-  });
-
-  const ClusterLabel a = stitch.table()->Resolve(0, 10);
+  // Reported pairs merge, transitively, into stitched roots.
+  const ClusterLabel a = first->Resolve(0, 10);
   EXPECT_EQ(a.shard, ClusterLabel::kStitchedShard);
-  // Edge rule: shard 0's component 10 and shard 1's component 20 merge.
-  EXPECT_EQ(stitch.table()->Resolve(1, 20), a);
-  // Same-point rule: shard 1's component 77 contains point 1 too.
-  EXPECT_EQ(stitch.table()->Resolve(1, 77), a);
-  // Shard 2's component is interned but alone.
-  const ClusterLabel c = stitch.table()->Resolve(2, 30);
-  EXPECT_NE(c, a);
-  // Labels never seen by the stitch resolve to themselves.
-  const ClusterLabel raw = stitch.table()->Resolve(3, 99);
-  EXPECT_EQ(raw.shard, 3);
-  EXPECT_EQ(raw.id, 99u);
+  EXPECT_EQ(first->Resolve(1, 20), a);
+  EXPECT_EQ(first->Resolve(2, 30), a);
+  const ClusterLabel b = first->Resolve(1, 77);
+  EXPECT_EQ(b.shard, ClusterLabel::kStitchedShard);
+  EXPECT_EQ(first->Resolve(2, 88), b);
+  EXPECT_NE(a, b);
+
+  // Labels no union touched resolve to themselves.
+  const ClusterLabel raw = first->Resolve(0, 99);
+  EXPECT_EQ(raw, (ClusterLabel{0, 99}));
   EXPECT_NE(raw, a);
-  EXPECT_NE(raw, c);
-}
+  EXPECT_NE(raw, b);
+  EXPECT_EQ(first->Resolve(3, 10), (ClusterLabel{3, 10}));
 
-TEST(BoundaryStitcherTest, RebuildTracksCurrentEdgesOnly) {
-  BoundaryStitcher stitch(2, 10.0);
-  stitch.AddCore(0, 1, P2(0, 0));
-  stitch.AddCore(1, 2, P2(6, 0));
-  auto labels = [](PointId gid, std::vector<LabelKey>* out) {
-    out->push_back({gid == 1 ? 0 : 1, static_cast<uint64_t>(gid * 10)});
-  };
-  stitch.Rebuild(labels);
-  EXPECT_EQ(stitch.table()->Resolve(0, 10), stitch.table()->Resolve(1, 20));
-
-  stitch.RemoveCore(2);
-  stitch.Rebuild([](PointId, std::vector<LabelKey>* out) {
-    out->push_back({0, 10});
-  });
-  // The old union is gone: shard 1's label is raw again.
-  EXPECT_EQ(stitch.table()->Resolve(1, 20).shard, 1);
+  // A new epoch starts empty: the next epoch's table holds only its own
+  // unions, and the first one, still held, keeps answering for its epoch.
+  EXPECT_EQ(LabelTable::Builder().Finish()->Resolve(0, 10),
+            (ClusterLabel{0, 10}));
+  LabelTable::Builder next;
+  next.Union(Key{0, 10}, Key{1, 77});
+  const std::shared_ptr<const LabelTable> second = std::move(next).Finish();
+  EXPECT_EQ(second->Resolve(0, 10), second->Resolve(1, 77));
+  EXPECT_EQ(second->Resolve(1, 20), (ClusterLabel{1, 20}));
+  EXPECT_EQ(second->Resolve(2, 88), (ClusterLabel{2, 88}));
+  EXPECT_EQ(first->Resolve(1, 20), a);
+  EXPECT_NE(first->Resolve(1, 77), a);
 }
 
 }  // namespace

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,10 @@ void RunMixedWorkload(const DbscanParams& params, uint64_t seed, int steps,
     std::vector<Point> pts;
     pts.reserve(ids.size());
     for (const PointId id : ids) pts.push_back(clusterer.grid().point(id));
+    const int64_t cores =
+        std::count_if(ids.begin(), ids.end(),
+                      [&](PointId id) { return clusterer.is_core(id); });
+    ASSERT_EQ(clusterer.num_core_points(), cores) << "step " << step;
 
     auto got = clusterer.QueryAll();
     got.Canonicalize();

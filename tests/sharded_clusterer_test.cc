@@ -93,8 +93,8 @@ TEST(ShardedClustererTest, StitchConnectsChainAcrossAllBoundaries) {
   ShardedClusterer engine(params, SmallOptions(4));
 
   // x = 0, 5, ..., 40: adjacent points within eps, so the whole chain is
-  // one cluster. The slab partition [0, 40] / 4 puts boundaries at 10, 20
-  // and 30, each crossed by chain links.
+  // one cluster. Slabs are at least 2·halo = 12.012 wide, so the cuts sit
+  // at 12.012, 24.024 and 36.036, each crossed by a chain link.
   std::vector<PointId> ids;
   for (int i = 0; i <= 8; ++i) {
     ids.push_back(engine.Insert(Point{5.0 * i, 0.0}));
@@ -111,6 +111,12 @@ TEST(ShardedClustererTest, StitchConnectsChainAcrossAllBoundaries) {
   }
   EXPECT_GT(engine.num_boundary_points(), 0);
   EXPECT_GT(engine.num_boundary_edges(), 0);
+  // Each rebuild exports the stitch's size as gauges.
+  const MetricsRegistry& registry = MetricsRegistry::Instance();
+  EXPECT_EQ(registry.ValueOf("engine.stitch_points", -1),
+            engine.num_boundary_points());
+  EXPECT_EQ(registry.ValueOf("engine.stitch_edges", -1),
+            engine.num_boundary_edges());
 
   const CGroupByResult all = engine.QueryAll();
   ASSERT_EQ(all.groups.size(), 1u);
@@ -126,7 +132,7 @@ TEST(ShardedClustererTest, StitchConnectsChainAcrossAllBoundaries) {
   EXPECT_EQ(engine.size(), static_cast<int64_t>(ids.size()) + 1);
 
   // Splitting the chain at a boundary splits the stitched cluster.
-  engine.Delete(ids[4]);  // x = 20, on a slab edge.
+  engine.Delete(ids[4]);  // x = 20, a two-holder point.
   CGroupByResult split = engine.QueryAll();
   split.Canonicalize();
   EXPECT_EQ(split.groups,
@@ -135,6 +141,37 @@ TEST(ShardedClustererTest, StitchConnectsChainAcrossAllBoundaries) {
                 {ids[5], ids[6], ids[7], ids[8]}}));
   EXPECT_EQ(split.noise, (std::vector<PointId>{lonely}));
   EXPECT_TRUE(LabelsAfterFlush(engine, ids[4]).empty());
+}
+
+/// Two core points within ε on either side of the one cut, each core only
+/// in its owner: the other holder lacks the two points behind it and counts
+/// 2 < MinPts. No point is core in both holders, so only the cross-shard
+/// edge — one shard's core point certifying the membership of the other
+/// shard's core point — joins the two halves into one cluster.
+TEST(ShardedClustererTest, CrossShardEdgeJoinsCoresCoreOnlyInTheirOwners) {
+  for (const double rho : {0.0, 0.001}) {
+    SCOPED_TRACE(rho);
+    const DbscanParams params{.dim = 2, .eps = 1.0, .min_pts = 3, .rho = rho};
+    ShardedClusterer::Options options = SmallOptions(2);
+    options.warmup = 2;
+    ShardedClusterer engine(params, options);
+    // The warmup sample spans [-10, 10], which puts the one cut at x = 0.
+    const PointId far_left = engine.Insert(Point{-10.0, 0.0});
+    const PointId far_right = engine.Insert(Point{10.0, 0.0});
+    ASSERT_TRUE(engine.shard_map().initialized());
+    ASSERT_EQ(engine.shard_map().cuts(), std::vector<double>{0.0});
+
+    // Each point has 3 points within ε, itself included, so all six are
+    // core; -0.4 and 0.4 are the only ones within the halo of the cut.
+    std::vector<PointId> ids;
+    for (const double x : {-1.3, -1.2, -0.4, 0.4, 1.2, 1.3}) {
+      ids.push_back(engine.Insert(Point{x, 0.0}));
+    }
+    CGroupByResult all = engine.QueryAll();
+    all.Canonicalize();
+    EXPECT_EQ(all.groups, (std::vector<std::vector<PointId>>{ids}));
+    EXPECT_EQ(all.noise, (std::vector<PointId>{far_left, far_right}));
+  }
 }
 
 TEST(ShardedClustererTest, DeletesAndAlivePointsStayConsistent) {
@@ -177,7 +214,7 @@ TEST(ShardedClustererTest, TelemetryExposesHotspotImbalance) {
   engine.PublishShardMetrics();
   const MetricsRegistry& registry = MetricsRegistry::Instance();
   ASSERT_EQ(registry.ValueOf("engine.shards", -1), 4);
-  int64_t owned = 0, ops = 0, max_owned = 0;
+  int64_t owned = 0, ops = 0, max_owned = 0, boundary_core = 0;
   for (int s = 0; s < 4; ++s) {
     const int64_t shard_owned =
         registry.ValueOf(ShardedClusterer::ShardMetricName(s, "owned"), -1);
@@ -190,11 +227,15 @@ TEST(ShardedClustererTest, TelemetryExposesHotspotImbalance) {
     owned += shard_owned;
     ops += registry.ValueOf(
         ShardedClusterer::ShardMetricName(s, "ops_applied"), -1);
+    boundary_core += registry.ValueOf(
+        ShardedClusterer::ShardMetricName(s, "boundary_core"), -1);
     max_owned = std::max(max_owned, shard_owned);
   }
   // Owned replicas partition the alive set; ops include ghost replication.
   EXPECT_EQ(owned, engine.size());
   EXPECT_GE(ops, w.num_updates);
+  // Each stitch point counts in its owner's boundary_core gauge.
+  EXPECT_EQ(boundary_core, engine.num_boundary_points());
   // 90% of inserts land in a 10%-wide band: the hot slab dominates.
   EXPECT_GT(max_owned, engine.size() / 2);
   // The imbalance gauge is max/mean owned occupancy in milli-units.

@@ -19,8 +19,6 @@
 //                 outer separator when any spec carries knobs.
 //                 Default: double-approx,inc-dbscan (the fully-dynamic pair;
 //                 semi-dynamic methods are skipped on workloads with deletes).
-//   --threads     Default worker-thread count for sharded methods: appended
-//                 as threads=N to every sharded-* spec that does not set it.
 //   --query-threads
 //                 Closed-loop snapshot reader threads (default 0 = queries
 //                 run on the main thread). With N > 0 the main thread
@@ -291,22 +289,9 @@ int main(int argc, char** argv) {
   }
   const std::vector<std::string> specs =
       Split(flags.GetString("scenario", default_scenarios), ';');
-  std::vector<std::string> methods =
+  const std::vector<std::string> methods =
       SplitMethods(flags.GetString("methods", "double-approx,inc-dbscan"));
   DDC_CHECK(!specs.empty() && !methods.empty());
-
-  // --threads=N is the default thread count for sharded methods: appended to
-  // every sharded-* spec that does not pin threads= itself.
-  if (flags.Has("threads")) {
-    const std::string threads = flags.GetString("threads", "");
-    for (std::string& m : methods) {
-      if (ddc::MethodBaseName(m).rfind("sharded-", 0) != 0) continue;
-      if (m.find("threads=") != std::string::npos) continue;
-      if (m.find(':') == std::string::npos) m += ':';
-      if (m.back() != ':') m += ',';
-      m += "threads=" + threads;
-    }
-  }
 
   for (const std::string& m : methods) {
     std::string why;
