@@ -9,9 +9,11 @@ namespace ddc {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the checksum the
 /// durability layer stamps on every WAL segment header and record. The
-/// implementation is the classic 8-entries-per-byte table walk: not the
-/// fastest possible, but the checksummed paths are checkpoint/recovery
-/// code, never the per-operation hot path.
+/// implementation is the classic 256-entry table walk, one byte
+/// per step. That is not the fastest possible, and it is on the
+/// per-operation path of a durable run: WalWriter::Append checksums every
+/// record, at 111–122 ns per 54-byte payload on a 4-core Xeon VM
+/// (AVX-512).
 
 /// CRC of `n` bytes at `data`, continuing from `seed` (0 for a fresh
 /// checksum). Chain calls to checksum discontiguous pieces:

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -60,10 +61,13 @@ class ClusterSnapshot {
   uint64_t epoch_;
 };
 
-/// What changed since a grid clusterer's last freeze: one bit per
-/// GridSnapshot id page and one per grid cell, a sliver of the grid's own
-/// per-id and per-cell tables. The clusterers mark on every update;
-/// GridSnapshot::Build reads the bits and clears them.
+/// What changed since a grid clusterer's last freeze: one bit per id and
+/// one per grid cell, a sliver of the grid's own per-id and per-cell
+/// tables. The clusterers mark on every update; GridSnapshot::Build reads
+/// the bits and clears them. Ids are grouped into pages of kPageSize, the
+/// unit a freeze shares or copies, and a page is one 64-bit word here: the
+/// word is the page's dirty-id mask, so a mark is one `|=` and a freeze
+/// patches exactly the slots the mask names.
 class SnapshotDirtySet {
  public:
   /// Ids per page of frozen per-point state. A constant, not a knob: 64 ids
@@ -71,21 +75,24 @@ class SnapshotDirtySet {
   /// table at 100k+ points, where 1024-id pages are mostly dirty.
   static constexpr int kPageBits = 6;
   static constexpr int kPageSize = 1 << kPageBits;
+  static_assert(kPageSize == 64, "a page's dirty-id mask is one word");
 
   /// Point `p` was inserted or deleted, or its core status flipped.
-  void MarkPoint(PointId p) {
-    Set(pages_, static_cast<size_t>(p) >> kPageBits);
-  }
+  void MarkPoint(PointId p) { Set(ids_, static_cast<size_t>(p)); }
 
   /// The core-member set of `cell` changed (one of its points was promoted
   /// or demoted, or a core point arrived or left).
   void MarkCell(CellId cell) { Set(cells_, static_cast<size_t>(cell)); }
 
-  bool page(int64_t page) const { return Test(pages_, page); }
+  /// The dirty ids of page `page`: bit i stands for id page·kPageSize + i.
+  uint64_t page_mask(int64_t page) const {
+    return static_cast<size_t>(page) < ids_.size() ? ids_[page] : 0;
+  }
+  bool page(int64_t page) const { return page_mask(page) != 0; }
   bool cell(CellId cell) const { return Test(cells_, cell); }
 
   void Clear() {
-    std::fill(pages_.begin(), pages_.end(), 0);
+    std::fill(ids_.begin(), ids_.end(), 0);
     std::fill(cells_.begin(), cells_.end(), 0);
   }
 
@@ -100,7 +107,7 @@ class SnapshotDirtySet {
     return word < bits.size() && ((bits[word] >> (i & 63)) & 1) != 0;
   }
 
-  std::vector<uint64_t> pages_;
+  std::vector<uint64_t> ids_;  // Word w: the dirty-id mask of page w.
   std::vector<uint64_t> cells_;
 };
 
@@ -116,13 +123,23 @@ class SnapshotDirtySet {
 ///
 /// The state lives in immutable blocks that consecutive snapshots share:
 /// per-point state in pages of kPageSize ids, per-cell state in one block
-/// per cell. A freeze rebuilds, into fresh allocations, only the pages and
-/// cells its SnapshotDirtySet names (plus the cells whose ε-close core-cell
-/// list changed), shares every other block with the previous snapshot, and
-/// never writes to a block a published snapshot holds. Labels are the one
-/// per-cell fact that can change without any update to the cell (a
-/// connectivity change elsewhere), so they are re-resolved for every core
-/// cell on every freeze.
+/// per cell that a query can read. A freeze writes, into fresh
+/// allocations, only what its SnapshotDirtySet names, shares every other
+/// block with the previous snapshot, and never writes to a block a
+/// published snapshot holds:
+///   * a page with dirty ids is a copy of the previous snapshot's page with
+///     only those slots rewritten (a page the previous snapshot lacks is
+///     built whole);
+///   * a dirty or new cell gets its core members recopied, counted before
+///     anything is allocated;
+///   * the ε-close core-cell list is re-listed only for new cells and the
+///     cells next to one whose core-cell status flipped; every other dirty
+///     cell keeps its previous list.
+/// A cell with no core member and no ε-close core cell cannot contribute a
+/// membership, so it freezes to a null entry: a point homed there is noise.
+/// Labels are the one per-cell fact that can change without any update to
+/// the cell (a connectivity change elsewhere), so they are re-resolved for
+/// every core cell on every freeze.
 class GridSnapshot final : public ClusterSnapshot {
  public:
   static constexpr int kPageBits = SnapshotDirtySet::kPageBits;
@@ -136,10 +153,11 @@ class GridSnapshot final : public ClusterSnapshot {
   /// clusters through core points, the grid clusterers through cells), and
   /// must be a read-only lookup. `params` gives the membership radius
   /// (1+ρ)ε and MinPts. Runs on the clusterer's owning thread while the
-  /// structures are quiescent. O(pages + cells) table work plus
-  /// O(points of the dirty pages and cells) copying, plus one label lookup
-  /// per core cell; the first freeze (null `prev`) is the same build with
-  /// every page and cell dirty.
+  /// structures are quiescent. Costs O(pages + cells) pointer copies, one
+  /// page copy per dirty page plus O(d) per dirty id, O(points) per dirty
+  /// cell, O(ε-close cells) per re-listed cell, and one label lookup per
+  /// core cell; the first freeze (null `prev`) builds every page and cell
+  /// whole.
   template <typename IsCore, typename CellLabel>
   static std::shared_ptr<const GridSnapshot> Build(
       const Grid& grid, const IsCore& is_core, const CellLabel& cell_label,
@@ -180,12 +198,13 @@ class GridSnapshot final : public ClusterSnapshot {
       fn(labels_[c]);
       return;
     }
+    const CellBlock* home = cells_[c].get();
+    if (home == nullptr) return;  // No core cell within reach: noise.
     Point p;
     const double* pc = pg.coords.data() + static_cast<size_t>(slot) * dim_;
     for (int k = 0; k < dim_; ++k) p[k] = pc[k];
     MembershipLabelSet assigned;
-    auto consider = [&](int32_t cell) {
-      const CellBlock& b = *cells_[cell];
+    auto consider = [&](int32_t cell, const CellBlock& b) {
       if (b.num_members == 0) return;  // Not a core cell.
       if (BoxMiss(b, p)) return;
       // Batched membership test over the frozen packed core members.
@@ -195,8 +214,8 @@ class GridSnapshot final : public ClusterSnapshot {
       }
       if (assigned.Insert(labels_[cell])) fn(labels_[cell]);
     };
-    consider(c);
-    for (const CellId nb : cells_[c]->core_neighbors) consider(nb);
+    consider(c, *home);
+    for (const CellId nb : home->core_neighbors) consider(nb, *cells_[nb]);
   }
 
  private:
@@ -214,8 +233,9 @@ class GridSnapshot final : public ClusterSnapshot {
     std::vector<double> coords;  // kPageSize rows of dim doubles.
   };
 
-  /// Frozen state of one cell. The fields a query reads first (is it a
-  /// core cell, where are its members) lead; the 128-byte box follows.
+  /// Frozen state of one cell with a core member or an ε-close core cell.
+  /// The fields a query reads first (is it a core cell, where are its
+  /// members) lead; the 128-byte box, set for core cells, follows.
   struct CellBlock {
     int32_t num_members = 0;
     /// First core member at freeze time: the point label lookups go
@@ -226,10 +246,11 @@ class GridSnapshot final : public ClusterSnapshot {
     Box box;
   };
 
-  /// Build's out-of-line half: sharing the clean blocks, allocating the
-  /// dirty ones, re-linking the neighbors of cells whose core-cell status
-  /// flipped, and the reuse counters. Build's template body runs only the
-  /// per-point loops, so the clusterer's core bit is read inline.
+  /// Build's out-of-line half: sharing the clean blocks, copying the dirty
+  /// pages, allocating the dirty cells' blocks, re-linking the neighbors of
+  /// cells whose core-cell status flipped, and the reuse counters. Build's
+  /// template body runs only the per-point loops, so the clusterer's core
+  /// bit is read inline.
   class Freezer;
 
   explicit GridSnapshot(uint64_t epoch) : ClusterSnapshot(epoch) {}
@@ -251,7 +272,8 @@ class GridSnapshot final : public ClusterSnapshot {
   int64_t num_points_ = 0;  // Ids ever inserted at freeze time.
 
   std::vector<std::shared_ptr<const PointPage>> pages_;
-  std::vector<std::shared_ptr<const CellBlock>> cells_;  // By CellId.
+  /// By CellId; null for a cell no query reads (see the class comment).
+  std::vector<std::shared_ptr<const CellBlock>> cells_;
   std::vector<uint64_t> labels_;  // By CellId; 0 for non-core cells.
 };
 
@@ -260,22 +282,34 @@ class GridSnapshot::Freezer {
   Freezer(const Grid& grid, double eps_outer, uint64_t epoch,
           const GridSnapshot* prev, const SnapshotDirtySet& dirty);
 
-  /// Pages to rebuild: dirty, or absent from the previous snapshot.
-  const std::vector<int64_t>& pages() const { return pages_; }
-  /// Cells whose members to rebuild: dirty, or absent from the previous
+  /// A page to write and the slots to write in it.
+  struct PagePatch {
+    int64_t page;
+    uint64_t slots;  // Bit i: id page·kPageSize + i.
+  };
+  /// The pages with a dirty id, each with its dirty-id mask, then the pages
+  /// the previous snapshot lacks, each with every slot below the id count.
+  const std::vector<PagePatch>& pages() const { return pages_; }
+  /// Cells whose core members to recopy: dirty, or new since the previous
   /// snapshot.
   const std::vector<CellId>& cells() const { return cells_; }
 
-  /// A new page for `page`, installed in the snapshot.
-  PointPage& NewPage(int64_t page);
+  /// The page `patch.page`, installed in the snapshot: a copy of the
+  /// previous snapshot's page, or a new page (every id dead, all
+  /// coordinates zero) where it has none.
+  PointPage& NewPage(const PagePatch& patch);
 
-  /// A fresh block for `cell`, installed in the snapshot, with its box set
-  /// and room reserved for `num_members` core members.
-  CellBlock& NewCell(CellId cell, int32_t num_members);
+  /// Records that `cell` has `num_members` core members. For a core cell,
+  /// a fresh block, installed in the snapshot, with its box set and room
+  /// reserved for the members; for any other cell null, and Relink decides
+  /// whether it needs a block.
+  CellBlock* NewCell(CellId cell, int32_t num_members);
 
-  /// Fills the ε-close core-cell list of every fresh block, first giving a
-  /// fresh copy to each clean cell next to one whose core-cell status
-  /// flipped.
+  /// Settles every entry the freeze writes: the cells of cells(), and each
+  /// clean cell next to one whose core-cell status flipped, which it
+  /// appends to cells(). New cells and the flips' neighbors re-list their
+  /// ε-close core cells; every other entry keeps its previous list. A
+  /// non-core cell whose list ends up empty freezes to null.
   void Relink();
 
   GridSnapshot& snapshot() { return *snap_; }
@@ -284,12 +318,26 @@ class GridSnapshot::Freezer {
   std::shared_ptr<const GridSnapshot> Finish(SnapshotDirtySet* dirty);
 
  private:
+  /// `cell`'s entry in the previous snapshot; null for a new cell too.
+  const CellBlock* Previous(CellId cell) const {
+    return cell < prev_cells_ ? prev_->cells_[cell].get() : nullptr;
+  }
+
+  /// Installs a fresh block for `cell`: a copy of `copy`, or empty.
+  CellBlock& Own(CellId cell, const CellBlock* copy);
+
   const Grid& grid_;
+  const GridSnapshot* prev_;
+  CellId prev_cells_ = 0;  // Cells the previous snapshot froze.
   std::shared_ptr<GridSnapshot> snap_;
-  std::vector<int64_t> pages_;
+  std::vector<PagePatch> pages_;
   std::vector<CellId> cells_;
-  /// Per cell: its fresh, not yet published block, or null while shared.
+  /// Per cell: its fresh, not yet published block, or null.
   std::vector<CellBlock*> fresh_;
+  /// Per cell: kMembers when in cells(), kRelist when its list is re-listed.
+  std::vector<uint8_t> state_;
+  static constexpr uint8_t kMembers = 1;
+  static constexpr uint8_t kRelist = 2;
   std::vector<CellId> flipped_;  // Cells whose core-cell status flipped.
 };
 
@@ -304,15 +352,18 @@ std::shared_ptr<const GridSnapshot> GridSnapshot::Build(
   Freezer f(grid, params.eps_outer(), epoch, prev, *dirty);
   const int dim = grid.dim();
 
-  // Pages: home cell, core bit and packed coordinates of each alive id.
-  const int64_t total = grid.total_inserted();
-  for (const int64_t pg : f.pages()) {
-    PointPage& out = f.NewPage(pg);
-    const PointId first = static_cast<PointId>(pg << kPageBits);
-    const int n = static_cast<int>(std::min<int64_t>(kPageSize, total - first));
-    for (int i = 0; i < n; ++i) {
+  // Pages: home cell, core bit and packed coordinates of each written id.
+  for (const Freezer::PagePatch& patch : f.pages()) {
+    PointPage& out = f.NewPage(patch);
+    const PointId first = static_cast<PointId>(patch.page << kPageBits);
+    for (uint64_t slots = patch.slots; slots != 0; slots &= slots - 1) {
+      const int i = std::countr_zero(slots);
       const PointId p = first + i;
-      if (!grid.alive(p)) continue;
+      if (!grid.alive(p)) {
+        out.cell[i] = -1;
+        out.core[i] = 0;
+        continue;
+      }
       out.cell[i] = grid.cell_of(p);
       out.core[i] = is_core(p) ? 1 : 0;
       const Point& pt = grid.point(p);
@@ -324,36 +375,37 @@ std::shared_ptr<const GridSnapshot> GridSnapshot::Build(
   // is dense: any two of its points are within ε, so every one of them is
   // core (under the exact, relaxed and IncDBSCAN predicates alike) and its
   // members are the grid's packed coordinates verbatim. Sparse cells are
-  // filtered point by point, sized before they are copied.
+  // filtered point by point, counted before anything is allocated.
   for (const CellId c : f.cells()) {
     const Cell& cell = grid.cell(c);
     if (cell.size() >= params.min_pts) {
       DDC_DCHECK(std::all_of(cell.points.begin(), cell.points.end(),
                              [&](PointId p) { return is_core(p); }));
-      CellBlock& out = f.NewCell(c, cell.size());
-      out.rep = cell.points[0];
-      out.members.assign(cell.coords.begin(), cell.coords.end());
+      CellBlock* out = f.NewCell(c, cell.size());
+      out->rep = cell.points[0];
+      out->members.assign(cell.coords.begin(), cell.coords.end());
       continue;
     }
     int32_t num_members = 0;
     for (const PointId p : cell.points) num_members += is_core(p) ? 1 : 0;
-    CellBlock& out = f.NewCell(c, num_members);
+    CellBlock* out = f.NewCell(c, num_members);
+    if (out == nullptr) continue;
     for (size_t i = 0; i < cell.points.size(); ++i) {
       const PointId p = cell.points[i];
       if (!is_core(p)) continue;
-      if (out.rep == kInvalidPoint) out.rep = p;
+      if (out->rep == kInvalidPoint) out->rep = p;
       const double* coords = cell.coords.data() + i * dim;
-      out.members.insert(out.members.end(), coords, coords + dim);
+      out->members.insert(out->members.end(), coords, coords + dim);
     }
   }
   f.Relink();
 
   GridSnapshot& snap = f.snapshot();
   for (size_t c = 0; c < snap.cells_.size(); ++c) {
-    const CellBlock& b = *snap.cells_[c];
-    if (b.num_members > 0) {
-      DDC_DCHECK(b.rep != kInvalidPoint);
-      snap.labels_[c] = cell_label(static_cast<CellId>(c), b.rep);
+    const CellBlock* b = snap.cells_[c].get();
+    if (b != nullptr && b->num_members > 0) {
+      DDC_DCHECK(b->rep != kInvalidPoint);
+      snap.labels_[c] = cell_label(static_cast<CellId>(c), b->rep);
     }
   }
   return f.Finish(dirty);

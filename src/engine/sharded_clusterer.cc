@@ -152,6 +152,7 @@ void ShardedClusterer::PublishShard(Shard& shard) {
     if (depth > shard.queue_hwm) shard.queue_hwm = depth;
   }
   shard.open.clear();
+  shard.dirty = true;
   pool_->Submit(shard.worker, [this, s = &shard] { ProcessShard(s); });
 }
 
@@ -175,7 +176,6 @@ void ShardedClusterer::ProcessShard(Shard* shard) {
     DDC_HISTOGRAM_RECORD("engine.shard_batch", batch_seconds * 1e6);
     shard->ops_applied += static_cast<int64_t>(batch.size());
     ++shard->batches_applied;
-    shard->dirty = true;
   }
   shard->applying.clear();
 }
@@ -222,18 +222,34 @@ void ShardedClusterer::FinishWarmup() {
 void ShardedClusterer::Flush() {
   DDC_TRACE_SPAN("engine.flush");
   if (!map_.initialized()) FinishWarmup();
-  for (auto& shard : shards_) PublishShard(*shard);
+  // Each changed shard freezes on its own worker, behind its last batch;
+  // a shard never frozen yet freezes too, so the first epoch has them all.
+  bool dirty = false;
+  for (auto& shard : shards_) {
+    PublishShard(*shard);
+    if (!shard->dirty && shard->frozen != nullptr) continue;
+    dirty |= shard->dirty;
+    shard->dirty = false;
+    pool_->Submit(shard->worker, [s = shard.get()] {
+      s->frozen = std::static_pointer_cast<const GridSnapshot>(
+          s->clusterer->Snapshot());
+    });
+  }
+  // While the workers apply and freeze: drop the epoch before last and
+  // compose this epoch's routing records, which only the ingest thread
+  // writes.
+  retired_.reset();
+  if (dirty || routes_ == nullptr) {
+    routes_ = std::make_shared<const ShardedSnapshot::RouteTable>(
+        points_, routes_.get(), route_dirty_);
+    route_dirty_.Clear();
+  }
   pool_->Drain();
 
   // Workers are quiescent: their state is safe to read until the next
   // batch is published.
-  bool dirty = false;
   int64_t max_owned = 0;
   for (auto& shard : shards_) {
-    if (shard->dirty) {
-      dirty = true;
-      shard->dirty = false;
-    }
     max_owned = std::max(max_owned, shard->owned_alive);
   }
   if (dirty) {
@@ -303,24 +319,17 @@ void ShardedClusterer::PublishSnapshot(bool relabel) {
   DDC_TRACE_SPAN("engine.publish_snapshot");
   DDC_HISTOGRAM_SCOPED("engine.snapshot_publish");
   DDC_COUNTER_INC("engine.snapshot_publications");
-  // Workers are quiescent (post-drain): freeze each shard's query state —
-  // the per-shard snapshot caches make this cheap for shards that applied
-  // nothing since their last freeze — then key this epoch's stitch table
-  // on those frozen labels, and compose them with the table and the
-  // routing records (sharing every clean page with the previous epoch)
-  // into one composite, swapped in atomically.
+  // Workers are quiescent (post-drain) and every shard's freeze is in:
+  // key this epoch's stitch table on those frozen labels, and compose them
+  // with the table and the epoch's routing records into one composite,
+  // swapped in atomically.
   std::vector<std::shared_ptr<const GridSnapshot>> shard_snaps;
   shard_snaps.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    shard_snaps.push_back(std::static_pointer_cast<const GridSnapshot>(
-        shard->clusterer->Snapshot()));
-  }
+  for (auto& shard : shards_) shard_snaps.push_back(shard->frozen);
   if (relabel) RebuildLabels(shard_snaps);
-  const std::shared_ptr<const ShardedSnapshot> prev = published_.Load();
+  retired_ = published_.Load();
   published_.Store(std::make_shared<const ShardedSnapshot>(
-      epoch(), points_, alive_, prev.get(), route_dirty_,
-      std::move(shard_snaps), stitch_));
-  route_dirty_.Clear();
+      epoch(), routes_, alive_, std::move(shard_snaps), stitch_));
 }
 
 std::shared_ptr<const ClusterSnapshot> ShardedClusterer::Snapshot() {

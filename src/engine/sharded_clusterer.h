@@ -41,20 +41,26 @@ namespace ddc {
 /// unsharded engine verbatim — same op stream, same structures, same
 /// don't-care decisions.
 ///
-/// Queries. Every Flush that applied work freezes each shard into a
-/// GridSnapshot, rebuilds the stitch table from those frozen snapshots
-/// alone — a union-find over shard-local component labels (LabelTable),
-/// which joins the owner's label of every owner-core two-holder point with
-/// each label the other holder's snapshot gives that point — then
-/// composes a ShardedSnapshot (the same per-shard snapshots + the stitch
-/// label table + the routing records, in copy-on-write pages of which only
-/// those with a delete or a new id since the last epoch are rebuilt) and
-/// publishes it by an atomic shared_ptr swap: one immutable epoch, readable
-/// lock-free from any number of threads while further updates flow. The
-/// stitch keys and the labels queries resolve are thus one set of frozen
-/// labels. Query is Flush + a resolve against the published snapshot;
-/// CurrentSnapshot() is the wait-free read-side entry point (the latest
-/// published epoch, no flush). An owner-core point
+/// Queries. A Flush publishes the open batches, then submits one freeze
+/// task to the worker of each shard that received batches since its last
+/// freeze: the task runs behind that shard's last batch (per-worker FIFO)
+/// and leaves the shard's GridSnapshot, O(what changed since the shard's
+/// previous freeze), in the shard. So the shards freeze in parallel. While
+/// they apply and freeze, the ingest thread builds the epoch's routing
+/// records (a RouteTable of copy-on-write pages, of which only those with a
+/// delete or a new id since the last epoch are rebuilt) and drops the
+/// epoch before last. The drain barrier then hands it the shards'
+/// snapshots. When any shard changed, it rebuilds the stitch table from
+/// those frozen snapshots alone — a union-find over shard-local component
+/// labels (LabelTable), which joins the owner's label of every owner-core
+/// two-holder point with each label the other holder's snapshot gives that
+/// point — composes a ShardedSnapshot (the same per-shard snapshots + the
+/// stitch label table + the routing records) and publishes it by an atomic
+/// shared_ptr swap: one immutable epoch, readable lock-free from any number
+/// of threads while further updates flow. The stitch keys and the labels
+/// queries resolve are thus one set of frozen labels. Query is Flush + a resolve against the
+/// published snapshot; CurrentSnapshot() is the wait-free read-side entry
+/// point (the latest published epoch, no flush). An owner-core point
 /// belongs exactly to its owner's component; a point that is non-core in
 /// its owner shard takes the union of the memberships every holding shard
 /// computes for it, which restores the cross-boundary attachments a single
@@ -148,11 +154,13 @@ class ShardedClusterer : public Clusterer {
   /// invalidate the line the worker reads on every ApplyOp.
   struct Shard {
     // Ingest side (caller thread only): the open batch and the local-id
-    // counter, written on every routed op, and the stitch points owned
-    // here at the last rebuild (the boundary_core gauge).
+    // counter, written on every routed op, the stitch points owned here at
+    // the last rebuild (the boundary_core gauge), and whether batches were
+    // published since the last freeze task.
     alignas(64) std::vector<Op> open;
     PointId next_local = 0;  // Local id the next insert routed here gets.
     int64_t boundary_core = 0;
+    bool dirty = false;
 
     // The MPSC batch queue. queue_hwm is the deepest `pending` has ever
     // been, sampled at publish time (ingest thread, under mu).
@@ -175,7 +183,10 @@ class ShardedClusterer : public Clusterer {
     int64_t ops_applied = 0;
     int64_t batches_applied = 0;
     double busy_seconds = 0;
-    bool dirty = false;  // Applied ops since the last stitch rebuild.
+    /// The shard's latest freeze, left by its freeze task. Every Flush
+    /// drains the tasks it submits, so the caller may also read it between
+    /// Flushes.
+    std::shared_ptr<const GridSnapshot> frozen;
   };
 
   void RouteInsert(PointId gid, const Point& p);
@@ -186,10 +197,11 @@ class ShardedClusterer : public Clusterer {
   void ApplyOp(Shard& shard, const Op& op);
   /// Fixes the partition from the warmup buffer and replays it in order.
   void FinishWarmup();
-  /// Freezes every shard; when `relabel`, rebuilds the stitch label table
-  /// from those snapshots for a new epoch; then composes and publishes the
-  /// ShardedSnapshot of the epoch from the same snapshots. Requires
-  /// quiescent workers (call right after the drain barrier).
+  /// When `relabel`, rebuilds the stitch label table from the shards'
+  /// frozen snapshots for a new epoch; then composes the ShardedSnapshot of
+  /// the epoch from the same snapshots and `routes_`, publishes it, and
+  /// retires the one it replaces. Requires quiescent workers and a freeze
+  /// of every shard (call right after the drain barrier).
   void PublishSnapshot(bool relabel);
   /// Rebuilds the stitch label table from `shard_snaps` (one frozen
   /// snapshot per shard) alone, sets the stitch gauges, drops dead ids from
@@ -206,7 +218,7 @@ class ShardedClusterer : public Clusterer {
   std::unique_ptr<Watchdog> watchdog_;
 
   /// Routing record per global id (caller thread only), and the record
-  /// pages a delete has touched since the last publish.
+  /// pages a delete has touched since the last RouteTable was built.
   std::vector<ShardedSnapshot::Route> points_;
   SnapshotDirtySet route_dirty_;
   int64_t alive_ = 0;
@@ -235,6 +247,12 @@ class ShardedClusterer : public Clusterer {
   /// the former reader-writer gate on the query path — no lock is ever
   /// held while a reader resolves labels.
   SharedPtrSlot<const ShardedSnapshot> published_;
+  /// The routing records of the last epoch built (caller thread only).
+  std::shared_ptr<const ShardedSnapshot::RouteTable> routes_;
+  /// The epoch before the published one, held until the next Flush drops
+  /// it while the workers apply and freeze, so its teardown overlaps
+  /// theirs instead of following the drain.
+  std::shared_ptr<const ShardedSnapshot> retired_;
 };
 
 }  // namespace ddc

@@ -9,17 +9,10 @@
 
 namespace ddc {
 
-ShardedSnapshot::ShardedSnapshot(
-    uint64_t epoch, const std::vector<Route>& routes, int64_t alive,
-    const ShardedSnapshot* prev, const SnapshotDirtySet& dirty,
-    std::vector<std::shared_ptr<const GridSnapshot>> shards,
-    std::shared_ptr<const LabelTable> stitch)
-    : ClusterSnapshot(epoch),
-      num_ids_(static_cast<int64_t>(routes.size())),
-      alive_(alive),
-      shards_(std::move(shards)),
-      stitch_(std::move(stitch)) {
-  DDC_CHECK(stitch_ != nullptr);
+ShardedSnapshot::RouteTable::RouteTable(const std::vector<Route>& routes,
+                                        const RouteTable* prev,
+                                        const SnapshotDirtySet& dirty)
+    : num_ids_(static_cast<int64_t>(routes.size())) {
   const int64_t num_pages = (num_ids_ + kPageSize - 1) >> kPageBits;
   // Global ids only ever grow, so the pages from the one holding `prev`'s
   // first unborn id on are the tail, new since `prev`; every page before
@@ -47,9 +40,21 @@ ShardedSnapshot::ShardedSnapshot(
   DDC_COUNTER_ADD("engine.route_pages_reused", num_pages - rebuilt);
 }
 
+ShardedSnapshot::ShardedSnapshot(
+    uint64_t epoch, std::shared_ptr<const RouteTable> routes, int64_t alive,
+    std::vector<std::shared_ptr<const GridSnapshot>> shards,
+    std::shared_ptr<const LabelTable> stitch)
+    : ClusterSnapshot(epoch),
+      routes_(std::move(routes)),
+      alive_(alive),
+      shards_(std::move(shards)),
+      stitch_(std::move(stitch)) {
+  DDC_CHECK(routes_ != nullptr && stitch_ != nullptr);
+}
+
 void ShardedSnapshot::Labels(PointId id,
                              std::vector<ClusterLabel>* out) const {
-  const Route& rec = route(id);
+  const Route& rec = (*routes_)[id];
   const GridSnapshot& owner = *shards_[rec.owner];
   const PointId owner_local = rec.local_in(rec.owner);
 

@@ -14,18 +14,19 @@ namespace ddc {
 /// shard's local id space), the stitch label table of the same epoch, and
 /// the routing record of every global id, which names the point's owner,
 /// its holders and its local id in each holder. Composed by
-/// ShardedClusterer::Flush while the workers are quiescent and published by
+/// ShardedClusterer::Flush once the workers are quiescent and published by
 /// an atomic shared_ptr swap — readers resolve every query against this
 /// object alone, so they never synchronize with ingest, workers, or later
 /// stitch rebuilds.
 ///
-/// The routing records live in pages of kPageSize global ids that
-/// consecutive epochs share, like GridSnapshot's point pages. Composing an
-/// epoch copies the previous epoch's page table and rebuilds, into fresh
-/// pages, only the pages with a delete since then (the `dirty` set) and the
-/// tail pages holding ids inserted since; it never writes a page a
-/// published snapshot holds. A publish therefore copies O(pages) pointers
-/// and O(dirty pages) records, not a record per id ever inserted.
+/// The routing records live in a RouteTable of pages of kPageSize global
+/// ids that consecutive epochs share, like GridSnapshot's point pages.
+/// Building an epoch's table copies the previous epoch's page table and
+/// rebuilds, into fresh pages, only the pages with a delete since then (the
+/// `dirty` set) and the tail pages holding ids inserted since; it never
+/// writes a page a published snapshot holds. So it copies O(pages)
+/// pointers and O(dirty pages) records, not a record per id ever inserted,
+/// and the engine builds it while the workers still apply and freeze.
 class ShardedSnapshot final : public ClusterSnapshot {
  public:
   static constexpr int kPageBits = SnapshotDirtySet::kPageBits;
@@ -47,20 +48,42 @@ class ShardedSnapshot final : public ClusterSnapshot {
     PointId local_in(int shard) const { return local[shard - first]; }
   };
 
-  /// Composes the epoch. `routes` is the ingest thread's live record table,
-  /// indexed by global id; `prev` is the previous published epoch (null for
-  /// the first), whose pages are shared unless `dirty` marks them or they
-  /// hold ids inserted since.
-  ShardedSnapshot(uint64_t epoch, const std::vector<Route>& routes,
-                  int64_t alive, const ShardedSnapshot* prev,
-                  const SnapshotDirtySet& dirty,
+  /// The routing records of one epoch, in pages of kPageSize global ids
+  /// that consecutive epochs share. Built from the ingest thread's live
+  /// record table, indexed by global id, over the previous epoch's table
+  /// (null for the first), whose pages are shared unless `dirty` marks them
+  /// or they hold ids inserted since.
+  class RouteTable {
+   public:
+    RouteTable(const std::vector<Route>& routes, const RouteTable* prev,
+               const SnapshotDirtySet& dirty);
+
+    /// Global ids ever inserted at this epoch.
+    int64_t size() const { return num_ids_; }
+    const Route& operator[](PointId id) const {
+      return pages_[id >> kPageBits]->routes[id & (kPageSize - 1)];
+    }
+
+   private:
+    struct RoutePage {
+      Route routes[kPageSize];
+    };
+
+    int64_t num_ids_ = 0;
+    std::vector<std::shared_ptr<const RoutePage>> pages_;
+  };
+
+  /// Composes the epoch from its routing records, the shards' snapshots and
+  /// the stitch label table of the same epoch.
+  ShardedSnapshot(uint64_t epoch, std::shared_ptr<const RouteTable> routes,
+                  int64_t alive,
                   std::vector<std::shared_ptr<const GridSnapshot>> shards,
                   std::shared_ptr<const LabelTable> stitch);
 
   CGroupByResult Query(const std::vector<PointId>& q) const override;
 
   bool alive(PointId id) const override {
-    return id >= 0 && id < num_ids_ && route(id).alive;
+    return id >= 0 && id < routes_->size() && (*routes_)[id].alive;
   }
   int64_t size() const override { return alive_; }
 
@@ -71,17 +94,8 @@ class ShardedSnapshot final : public ClusterSnapshot {
   void Labels(PointId id, std::vector<ClusterLabel>* out) const;
 
  private:
-  struct RoutePage {
-    Route routes[kPageSize];
-  };
-
-  const Route& route(PointId id) const {
-    return pages_[id >> kPageBits]->routes[id & (kPageSize - 1)];
-  }
-
-  int64_t num_ids_ = 0;  // Global ids ever inserted at this epoch.
+  std::shared_ptr<const RouteTable> routes_;
   int64_t alive_ = 0;
-  std::vector<std::shared_ptr<const RoutePage>> pages_;
   std::vector<std::shared_ptr<const GridSnapshot>> shards_;
   std::shared_ptr<const LabelTable> stitch_;
 };

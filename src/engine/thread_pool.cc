@@ -10,9 +10,11 @@ namespace ddc {
 namespace {
 
 /// How long an idle worker polls its queue before it parks. Longer than the
-/// gap between two batches of a busy shard (tens of microseconds), much
-/// shorter than a Flush (milliseconds), after which one wake-up per worker
-/// restarts the hand-off.
+/// gap between two batches of a busy shard (tens of microseconds). The
+/// sharded engine's shards freeze on their workers, so what the ingest
+/// thread does after a drain (stitch and compose) is about as long as the
+/// spin: a worker may still be polling when the next batch comes, and
+/// otherwise costs one wake-up to restart the hand-off.
 constexpr std::chrono::microseconds kSpin{100};
 
 }  // namespace

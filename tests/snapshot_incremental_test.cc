@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
@@ -170,6 +171,94 @@ struct Coverage {
   std::vector<uint8_t> core_;
 };
 
+/// The shapes a copy-on-write freeze handles apart from a full build,
+/// counted over runs of a FullyDynamicClusterer as it stands at
+/// consecutive freezes: what each freeze patches, which cells it leaves
+/// without a block, and which lists it keeps.
+struct FreezeCoverage {
+  /// A page the previous freeze held, with exactly one id born, deleted or
+  /// flipped since: the patch rewrites that one slot.
+  int64_t single_id_patches = 0;
+  /// A non-core cell frozen without a block (no ε-close core cell) that
+  /// now has an ε-close core cell: Relink gives it a block.
+  int64_t null_cells_gaining_block = 0;
+  /// A non-core cell frozen with a block whose last ε-close core cell left:
+  /// its entry drops to null.
+  int64_t cells_losing_last_core_neighbor = 0;
+  /// A cell whose core members changed, none of whose ε-close cells
+  /// flipped, with ε-close core cells: it keeps its previous list.
+  int64_t dirty_cells_keeping_list = 0;
+
+  /// One run's state at its previous freeze.
+  class Run {
+   public:
+    explicit Run(FreezeCoverage* totals) : totals_(totals) {}
+
+    void Observe(const FullyDynamicClusterer& c) {
+      const Grid& grid = c.grid();
+      const int64_t ids = grid.total_inserted();
+      std::vector<uint8_t> id_state(ids);
+      for (PointId p = 0; p < ids; ++p) {
+        id_state[p] = grid.alive(p) ? (c.is_core(p) ? 3 : 1) : 0;
+      }
+      const int num_cells = grid.num_cells();
+      std::vector<std::vector<PointId>> members(num_cells);
+      for (CellId cell = 0; cell < num_cells; ++cell) {
+        for (const PointId p : grid.cell(cell).points) {
+          if (c.is_core(p)) members[cell].push_back(p);
+        }
+        std::sort(members[cell].begin(), members[cell].end());
+      }
+      std::vector<int> core_nbrs(num_cells);
+      for (CellId cell = 0; cell < num_cells; ++cell) {
+        for (const CellId nb : grid.cell(cell).neighbors) {
+          core_nbrs[cell] += members[nb].empty() ? 0 : 1;
+        }
+      }
+      auto was_core = [&](CellId cell) {
+        return cell < static_cast<CellId>(members_.size()) &&
+               !members_[cell].empty();
+      };
+
+      const int64_t prev_ids = static_cast<int64_t>(id_state_.size());
+      constexpr int kPage = GridSnapshot::kPageSize;
+      for (int64_t first = 0; first < prev_ids; first += kPage) {
+        int changed = 0;
+        const int64_t end = std::min<int64_t>(ids, first + kPage);
+        for (PointId p = first; p < end; ++p) {
+          changed += (p < prev_ids ? id_state_[p] : 0) != id_state[p];
+        }
+        totals_->single_id_patches += changed == 1;
+      }
+      for (CellId cell = 0; cell < static_cast<CellId>(members_.size());
+           ++cell) {
+        const bool core = !members[cell].empty();
+        if (!core && !was_core(cell)) {
+          totals_->null_cells_gaining_block +=
+              core_nbrs_[cell] == 0 && core_nbrs[cell] > 0;
+          totals_->cells_losing_last_core_neighbor +=
+              core_nbrs_[cell] > 0 && core_nbrs[cell] == 0;
+        }
+        if (members[cell] == members_[cell] || core_nbrs[cell] == 0) continue;
+        bool neighbor_flipped = false;
+        for (const CellId nb : grid.cell(cell).neighbors) {
+          neighbor_flipped |= was_core(nb) != !members[nb].empty();
+        }
+        totals_->dirty_cells_keeping_list += !neighbor_flipped;
+      }
+      id_state_ = std::move(id_state);
+      members_ = std::move(members);
+      core_nbrs_ = std::move(core_nbrs);
+    }
+
+   private:
+    FreezeCoverage* totals_;
+    std::vector<uint8_t> id_state_;  // 0 dead or unborn, 1 alive, 3 core.
+    std::vector<std::vector<PointId>> members_;  // Core members by cell.
+    std::vector<int> core_nbrs_;  // ε-close core cells by cell.
+  };
+};
+
 /// Check 2 under a live reader: one thread keeps querying the oldest held
 /// snapshot while the owning thread applies updates and freezes over it.
 class HeldReader {
@@ -334,25 +423,44 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// The streams above reach every case the dirty marks exist for: cells are
 /// created, emptied by deletion (where the stream deletes), and flip their
-/// core-cell status next to other cells.
+/// core-cell status next to other cells. At the freezes RunCombo takes,
+/// each stream also reaches, over its three freeze cadences, every path of
+/// the copy-on-write freeze: a page patched in one slot, a cell without a
+/// block that gains an ε-close core cell, one with a block that loses its
+/// last (where the stream deletes), and a dirty cell that keeps its
+/// core-neighbor list.
 TEST(SnapshotIncrementalStreamsTest, StreamsCreateEmptyAndFlipCells) {
   for (const StreamCase& stream : kStreams) {
+    SCOPED_TRACE(stream.label);
+    FreezeCoverage freezes;
+    bool deletes = false;
     for (const int64_t k : {1, 7, 500}) {
-      SCOPED_TRACE(std::string(stream.label) + " k=" + std::to_string(k));
+      SCOPED_TRACE("k=" + std::to_string(k));
       const Workload w = BuildStream(stream, StreamLength(k));
+      deletes |= w.num_deletes > 0;
       FullyDynamicClusterer c(StreamParams(0));
       std::vector<PointId> ids(w.points.size(), kInvalidPoint);
       Coverage coverage;
+      FreezeCoverage::Run run(&freezes);
+      int64_t applied = 0;
       for (const Operation& op : w.ops) {
         if (op.type == Operation::Type::kQuery) continue;
         ApplyOp(c, w, op, ids);
         coverage.Observe(c);
+        if (++applied % k == 0) run.Observe(c);
       }
+      run.Observe(c);
       EXPECT_GT(coverage.cells_created, 0);
       EXPECT_GT(coverage.core_flips_next_to_cells, 0);
       if (w.num_deletes > 0) {
         EXPECT_GT(coverage.cells_emptied, 0);
       }
+    }
+    EXPECT_GT(freezes.single_id_patches, 0);
+    EXPECT_GT(freezes.null_cells_gaining_block, 0);
+    EXPECT_GT(freezes.dirty_cells_keeping_list, 0);
+    if (deletes) {
+      EXPECT_GT(freezes.cells_losing_last_core_neighbor, 0);
     }
   }
 }
