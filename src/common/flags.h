@@ -10,9 +10,9 @@
 
 namespace ddc {
 
-/// Minimal `--key=value` command-line parser used by the benchmark harnesses
-/// and examples, so every experiment can be re-run at different scales
-/// without editing code.
+/// Minimal `--key=value` command-line parser used by `ddc_driver`,
+/// perfbench and the examples, so every experiment can be re-run at
+/// different scales without editing code.
 class Flags {
  public:
   /// Parses argv; entries must look like `--name=value` or `--name value`.

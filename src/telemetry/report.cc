@@ -1,19 +1,8 @@
 #include "telemetry/report.h"
 
-#include <cstdio>
-
 #include "common/check.h"
 
 namespace ddc {
-
-std::string CostCell(const RunStats& stats, double value) {
-  // The paper terminated IncDBSCAN after 3 hours in 5D/7D; a timed-out run
-  // is reported the same way rather than with a misleading partial average.
-  if (stats.timed_out) return "TIMEOUT";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", value);
-  return buf;
-}
 
 std::string SanitizeForFilename(const std::string& text) {
   std::string out = text;
@@ -24,60 +13,6 @@ std::string SanitizeForFilename(const std::string& text) {
     if (!allowed) c = '-';
   }
   return out;
-}
-
-void PrintSeries(const std::string& title,
-                 const std::vector<std::string>& method_names,
-                 const std::vector<RunStats>& runs) {
-  std::printf("\n=== %s ===\n", title.c_str());
-  DDC_CHECK(method_names.size() == runs.size());
-
-  // Checkpoint header from the longest finished run.
-  size_t ref = 0;
-  for (size_t i = 0; i < runs.size(); ++i) {
-    if (runs[i].checkpoint_ops.size() > runs[ref].checkpoint_ops.size()) {
-      ref = i;
-    }
-  }
-  std::printf("%-16s", "ops:");
-  for (const int64_t t : runs[ref].checkpoint_ops) {
-    std::printf("%12lld", static_cast<long long>(t));
-  }
-  std::printf("\n-- average cost per operation (microsec) --\n");
-  for (size_t i = 0; i < runs.size(); ++i) {
-    std::printf("%-16s", method_names[i].c_str());
-    for (const double v : runs[i].avg_cost_us) std::printf("%12.2f", v);
-    if (runs[i].timed_out) std::printf("   [TIMEOUT]");
-    std::printf("\n");
-  }
-  std::printf("-- maximum update cost (microsec) --\n");
-  for (size_t i = 0; i < runs.size(); ++i) {
-    std::printf("%-16s", method_names[i].c_str());
-    for (const double v : runs[i].max_upd_cost_us) std::printf("%12.1f", v);
-    if (runs[i].timed_out) std::printf("   [TIMEOUT]");
-    std::printf("\n");
-  }
-  std::fflush(stdout);
-}
-
-void PrintSweep(const std::string& title, const std::string& x_label,
-                const std::vector<std::string>& x_values,
-                const std::vector<std::string>& method_names,
-                const std::vector<std::vector<RunStats>>& cells) {
-  std::printf("\n=== %s ===\n", title.c_str());
-  std::printf("-- average workload cost (microsec) --\n");
-  std::printf("%-14s", x_label.c_str());
-  for (const auto& m : method_names) std::printf("%16s", m.c_str());
-  std::printf("\n");
-  for (size_t r = 0; r < x_values.size(); ++r) {
-    std::printf("%-14s", x_values[r].c_str());
-    for (size_t c = 0; c < method_names.size(); ++c) {
-      const RunStats& s = cells[r][c];
-      std::printf("%16s", CostCell(s, s.avg_workload_cost_us).c_str());
-    }
-    std::printf("\n");
-  }
-  std::fflush(stdout);
 }
 
 void WriteLatencySummary(JsonWriter& w, const LatencyHistogram& h) {
@@ -206,11 +141,7 @@ bool ValidateBenchJson(const std::string& json, std::string* why) {
   if (version == nullptr || version->type != JsonValue::Type::kNumber) {
     return fail("missing schema_version");
   }
-  // v2 documents (the committed bench trajectories) stay valid alongside
-  // the current version; the v3-only requirements below are skipped for
-  // them.
-  const int schema = static_cast<int>(version->number_value);
-  if (schema != kBenchSchemaVersion && schema != 2) {
+  if (version->number_value != kBenchSchemaVersion) {
     return fail("unexpected schema_version");
   }
   for (const char* key : {"tool", "scenario", "scenario_spec", "method"}) {
@@ -240,20 +171,17 @@ bool ValidateBenchJson(const std::string& json, std::string* why) {
   if (timed_out == nullptr || timed_out->type != JsonValue::Type::kBool) {
     return fail("run missing bool key 'timed_out'");
   }
-  if (schema >= 3) {
-    const JsonValue* interrupted = run->Find("interrupted");
-    if (interrupted == nullptr ||
-        interrupted->type != JsonValue::Type::kBool) {
-      return fail("run missing bool key 'interrupted'");
-    }
-    const JsonValue* metrics = doc->Find("metrics");
-    if (metrics == nullptr || metrics->type != JsonValue::Type::kObject) {
-      return fail("missing object key 'metrics'");
-    }
-    for (const auto& [name, value] : metrics->members) {
-      if (value.type != JsonValue::Type::kNumber) {
-        return fail("metrics." + name + " is not a number");
-      }
+  const JsonValue* interrupted = run->Find("interrupted");
+  if (interrupted == nullptr || interrupted->type != JsonValue::Type::kBool) {
+    return fail("run missing bool key 'interrupted'");
+  }
+  const JsonValue* metrics = doc->Find("metrics");
+  if (metrics == nullptr || metrics->type != JsonValue::Type::kObject) {
+    return fail("missing object key 'metrics'");
+  }
+  for (const auto& [name, value] : metrics->members) {
+    if (value.type != JsonValue::Type::kNumber) {
+      return fail("metrics." + name + " is not a number");
     }
   }
   const JsonValue* latency = doc->Find("latency_us");

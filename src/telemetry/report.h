@@ -14,13 +14,9 @@
 
 namespace ddc {
 
-/// Shared run-report rendering for the figure benches and `ddc_driver`:
-/// the human-readable tables the paper reproductions print, and the
-/// machine-readable BENCH JSON that seeds the repo's perf trajectory.
-
-/// Formats a cost cell ("TIMEOUT" when the run did not finish). Named to
-/// avoid colliding with the grid Cell type in unqualified ddc:: scope.
-std::string CostCell(const RunStats& stats, double value);
+/// Run-report rendering: the schema-versioned BENCH JSON document that
+/// `ddc_driver` writes per run, its validator, and the JSON pieces
+/// (metrics, latency summaries) the stats server and sampler reuse.
 
 /// Sanitizes a scenario/method spec for use in a BENCH filename: every
 /// character outside [A-Za-z0-9._-] becomes '-'. Whitelisting (rather than
@@ -28,19 +24,6 @@ std::string CostCell(const RunStats& stats, double value);
 /// containing '/', ';', spaces, or shell metacharacters from producing
 /// broken or path-escaping filenames.
 std::string SanitizeForFilename(const std::string& text);
-
-/// Prints the per-checkpoint avgcost / maxupdcost series of several
-/// finished runs (one row per method), in the style of Figures 8/9/12/13.
-void PrintSeries(const std::string& title,
-                 const std::vector<std::string>& method_names,
-                 const std::vector<RunStats>& runs);
-
-/// Prints a parameter-sweep table (one row per x value, one column per
-/// method, cell = average workload cost), in the style of Figures 10/11/14/15.
-void PrintSweep(const std::string& title, const std::string& x_label,
-                const std::vector<std::string>& x_values,
-                const std::vector<std::string>& method_names,
-                const std::vector<std::vector<RunStats>>& cells);
 
 /// Writes `{"count":..,"mean":..,"p50":..,"p90":..,"p99":..,"p999":..,
 /// "max":..}` (microseconds) as the next value of `w`.
@@ -85,11 +68,10 @@ inline constexpr int kBenchSchemaVersion = 3;
 std::string BenchJson(const BenchRecord& record);
 
 /// Structural check of a BENCH document: parses and verifies the
-/// schema_version and every required key. Accepts the current version and
-/// v2 (the committed trajectory dirs hold v2 files; v3 additions are
-/// required only of v3 documents). `ddc_driver` runs this on its own
-/// output before writing, so an emitted file is a validated file. On
-/// failure returns false and describes the problem in `*why`.
+/// schema_version, which must be kBenchSchemaVersion, and every required
+/// key. `ddc_driver` runs this on its own output before writing, so an
+/// emitted file is a validated file. On failure returns false and
+/// describes the problem in `*why`.
 bool ValidateBenchJson(const std::string& json, std::string* why);
 
 }  // namespace ddc

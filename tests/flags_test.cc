@@ -122,7 +122,7 @@ TEST(FlagsDeathTest, EmptyOrOutOfRangeNumericValuesAbort) {
 }
 
 // A flag no getter asked for would otherwise leave the experiment at its
-// default: `bench_fig12_full_2d --n=2000 --budegt=5` ran the 15 s budget.
+// default: `ddc_driver --budegt=5` would run with the 30 s budget.
 // Every unread flag is named; reading a flag, or asking whether it is
 // present, accepts it.
 TEST(FlagsDeathTest, UnreadFlagAbortsNamingIt) {

@@ -130,9 +130,8 @@ TEST(JsonRoundTripTest, WriterOutputParsesBackIdentically) {
   EXPECT_DOUBLE_EQ(v->Find("nums")->items[1].number_value, 0.25);
 }
 
-TEST(BenchJsonTest, SchemaValidatesAndCarriesLatencies) {
-  // An end-to-end BENCH document from synthetic stats must satisfy the same
-  // validator ddc_driver runs before writing files.
+/// A BENCH document rendered from synthetic stats.
+std::string SyntheticBenchJson() {
   Workload w;
   w.dim = 2;
   w.num_updates = 10;
@@ -158,8 +157,13 @@ TEST(BenchJsonTest, SchemaValidatesAndCarriesLatencies) {
   record.peak_rss_bytes = 12345;
   record.workload = &w;
   record.stats = &stats;
+  return BenchJson(record);
+}
 
-  const std::string json = BenchJson(record);
+TEST(BenchJsonTest, SchemaValidatesAndCarriesLatencies) {
+  // An end-to-end BENCH document from synthetic stats must satisfy the same
+  // validator ddc_driver runs before writing files.
+  const std::string json = SyntheticBenchJson();
   std::string why;
   EXPECT_TRUE(ValidateBenchJson(json, &why)) << why;
 
@@ -188,6 +192,20 @@ TEST(BenchJsonTest, ValidatorRejectsBrokenDocuments) {
   EXPECT_FALSE(ValidateBenchJson("not json", &why));
   EXPECT_FALSE(ValidateBenchJson("{}", &why));
   EXPECT_FALSE(ValidateBenchJson(R"({"schema_version":99})", &why));
+}
+
+// Only the current schema is read: a v2 document is refused even when it
+// carries every key of the current one.
+TEST(BenchJsonTest, ValidatorRefusesAnEarlierSchemaVersion) {
+  std::string json = SyntheticBenchJson();
+  const std::string current =
+      "\"schema_version\":" + std::to_string(kBenchSchemaVersion);
+  const size_t at = json.find(current);
+  ASSERT_NE(at, std::string::npos);
+  json.replace(at, current.size(), "\"schema_version\":2");
+  std::string why;
+  EXPECT_FALSE(ValidateBenchJson(json, &why));
+  EXPECT_EQ(why, "unexpected schema_version");
 }
 
 }  // namespace

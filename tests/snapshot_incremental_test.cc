@@ -18,6 +18,7 @@
 #include "core/incremental_dbscan.h"
 #include "core/semi_dynamic_clusterer.h"
 #include "engine/sharded_clusterer.h"
+#include "geom/point.h"
 #include "scenario/scenario.h"
 #include "telemetry/metrics.h"
 #include "tests/test_util.h"
@@ -182,6 +183,10 @@ struct FreezeCoverage {
   /// A non-core cell frozen without a block (no ε-close core cell) that
   /// now has an ε-close core cell: Relink gives it a block.
   int64_t null_cells_gaining_block = 0;
+  /// Such a cell with a point of its own within (1+ρ)ε of a core point of
+  /// its new ε-close core cells: that border point's membership comes from
+  /// the block alone.
+  int64_t null_cells_gaining_border = 0;
   /// A non-core cell frozen with a block whose last ε-close core cell left:
   /// its entry drops to null.
   int64_t cells_losing_last_core_neighbor = 0;
@@ -219,6 +224,20 @@ struct FreezeCoverage {
         return cell < static_cast<CellId>(members_.size()) &&
                !members_[cell].empty();
       };
+      const double r_sq = c.params().eps_outer() * c.params().eps_outer();
+      auto has_border_point = [&](CellId cell) {
+        for (const PointId p : grid.cell(cell).points) {
+          for (const CellId nb : grid.cell(cell).neighbors) {
+            for (const PointId q : members[nb]) {
+              if (WithinSquared(grid.point(p), grid.point(q), grid.dim(),
+                                r_sq)) {
+                return true;
+              }
+            }
+          }
+        }
+        return false;
+      };
 
       const int64_t prev_ids = static_cast<int64_t>(id_state_.size());
       constexpr int kPage = GridSnapshot::kPageSize;
@@ -234,8 +253,10 @@ struct FreezeCoverage {
            ++cell) {
         const bool core = !members[cell].empty();
         if (!core && !was_core(cell)) {
-          totals_->null_cells_gaining_block +=
-              core_nbrs_[cell] == 0 && core_nbrs[cell] > 0;
+          if (core_nbrs_[cell] == 0 && core_nbrs[cell] > 0) {
+            ++totals_->null_cells_gaining_block;
+            totals_->null_cells_gaining_border += has_border_point(cell);
+          }
           totals_->cells_losing_last_core_neighbor +=
               core_nbrs_[cell] > 0 && core_nbrs[cell] == 0;
         }
@@ -331,6 +352,9 @@ const StreamCase kStreams[] = {
     {"PaperMixed", "paper-mixed:dim=2,extent=2500,qevery=0"},
     {"SlidingWindow", "sliding-window:window=150,dim=2,extent=2500,qevery=0"},
     {"InsertOnly", "paper-mixed:ins=1,dim=2,extent=2500,qevery=0"},
+    // Sparse tail clusters: cells without a block gain an ε-close core cell
+    // that one of their own points borders.
+    {"Zipf", "zipf:dim=2,extent=2500,qevery=0"},
 };
 
 /// Drives one combo through `w`, freezing every `k` updates, and checks
@@ -428,8 +452,10 @@ INSTANTIATE_TEST_SUITE_P(
 /// the copy-on-write freeze: a page patched in one slot, a cell without a
 /// block that gains an ε-close core cell, one with a block that loses its
 /// last (where the stream deletes), and a dirty cell that keeps its
-/// core-neighbor list.
+/// core-neighbor list. Some stream also has such a gaining cell's own point
+/// border its new core cell, which only the cell's new block can tell.
 TEST(SnapshotIncrementalStreamsTest, StreamsCreateEmptyAndFlipCells) {
+  int64_t null_cells_gaining_border = 0;
   for (const StreamCase& stream : kStreams) {
     SCOPED_TRACE(stream.label);
     FreezeCoverage freezes;
@@ -462,7 +488,9 @@ TEST(SnapshotIncrementalStreamsTest, StreamsCreateEmptyAndFlipCells) {
     if (deletes) {
       EXPECT_GT(freezes.cells_losing_last_core_neighbor, 0);
     }
+    null_cells_gaining_border += freezes.null_cells_gaining_border;
   }
+  EXPECT_GT(null_cells_gaining_border, 0);
 }
 
 /// A hand-built stream (d = 2, ε = 1, MinPts = 3) for the two ways a clean

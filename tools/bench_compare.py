@@ -12,7 +12,7 @@ reported as a missing pair and not compared; directories with entirely
 non-overlapping method sets are legal input (every key reports as missing
 and the run says so instead of crashing or silently passing).
 
---metrics[=N] adds a report of the v3 `metrics` sections: for every metric
+--metrics[=N] adds a report of the `metrics` sections: for every metric
 name present in both sides of a pair it computes the candidate/baseline
 ratio, aggregates per name across pairs (geometric mean), and prints the N
 (default 10) largest relative shifts in either direction. Purely
@@ -21,7 +21,7 @@ metrics section are skipped.
 
 --key=base pairs on the method's *base name* (the spec before ':'), for
 comparing runs of one method at different knob settings — e.g. a
-bench/sharded shards=1 directory against a shards=8 directory. With
+shards=1 directory against a shards=8 directory. With
 --key=base each directory must hold at most one spec per (scenario, base
 name); duplicates abort.
 
@@ -38,12 +38,9 @@ import sys
 from pathlib import Path
 
 
-# Every field this tool reads exists unchanged in all three versions, so
-# the committed v1 and v2 trajectory dirs compare against v3 candidates
-# transparently: v2 only added read-side fields (run.query_threads,
-# run.reader_*, latency_us.reader_query), v3 run.interrupted and a metrics
-# section.
-ACCEPTED_SCHEMAS = (1, 2, 3)
+# The BENCH schema versions this tool reads: every committed BENCH file is
+# v3, the version ddc_driver writes.
+ACCEPTED_SCHEMAS = (3,)
 
 
 def load_bench_dir(path, key_mode):
@@ -110,8 +107,7 @@ def report_metric_shifts(base, cand, common, top_n):
 
     print()
     if not ratios:
-        print("metric shifts: no overlapping numeric metrics "
-              "(need schema v3 on both sides)")
+        print("metric shifts: no overlapping numeric metrics")
         return
     shifts = []
     for name, rs in ratios.items():
