@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the individual substrates: union-find,
-// Euler-tour forests, HDT connectivity, grid maintenance, emptiness queries,
-// range counting, the flat-hash / packed-coordinate layouts the hot paths
+// Euler-tour forests, HDT connectivity, grid maintenance and cell creation,
+// emptiness queries, the flat-hash / packed-coordinate layouts the hot paths
 // run on, and the snapshot freeze. These are the per-operation costs the
 // amortized analyses of Theorems 1 and 4 are built from.
 
@@ -16,7 +16,6 @@
 #include "core/cluster_snapshot.h"
 #include "core/emptiness.h"
 #include "core/fully_dynamic_clusterer.h"
-#include "counting/approx_counter.h"
 #include "geom/simd_kernels.h"
 #include "grid/grid.h"
 #include "telemetry/metrics.h"
@@ -149,23 +148,49 @@ void BM_Emptiness_Query(benchmark::State& state) {
 }
 BENCHMARK(BM_Emptiness_Query);
 
-void BM_Counter_Count(benchmark::State& state) {
-  DbscanParams params{.dim = 3, .eps = 300.0, .min_pts = 10, .rho = 0.001};
-  Grid grid(3, params.eps);
-  ApproxRangeCounter counter(&grid, params);
+/// Cell creation with neighbor linking: each iteration inserts a point into
+/// a new cell of a d-dimensional grid that already holds 20k cells, about
+/// what drift reaches at N = 100k. The cells are distinct random keys in a
+/// box `width` cells wide per dimension (second arg); the widths give a new
+/// cell 27–30 ε-close made cells (the `links` counter reads the mean), like
+/// drift's 28–39. Fixed iterations keep the grid near 20k cells.
+constexpr int kCreateCellIterations = 2000;
+
+void BM_Grid_CreateCell(benchmark::State& state) {
+  constexpr int kCells = 20000;
+  const int dim = static_cast<int>(state.range(0));
+  const int width = static_cast<int>(state.range(1));
+  Grid grid(dim, 100.0 * dim);
   Rng rng(7);
-  for (int i = 0; i < 5000; ++i) {
+  FlatHashSet<CellKey, CellKeyHash> seen;
+  std::vector<Point> points;
+  while (points.size() < kCells + kCreateCellIterations) {
+    CellKey key;
+    for (int i = 0; i < dim; ++i) {
+      key[i] = static_cast<int32_t>(rng.NextBelow(width));
+    }
+    if (!seen.Insert(key)) continue;
     Point p;
-    for (int k = 0; k < 3; ++k) p[k] = rng.NextDouble(0, 3000.0);
-    grid.Insert(p);
+    for (int i = 0; i < dim; ++i) p[i] = (key[i] + 0.5) * grid.side();
+    points.push_back(p);
   }
+  for (int i = 0; i < kCells; ++i) grid.Insert(points[i]);
+  size_t next = kCells;
   for (auto _ : state) {
-    Point q;
-    for (int k = 0; k < 3; ++k) q[k] = rng.NextDouble(0, 3000.0);
-    benchmark::DoNotOptimize(counter.Count(q, params.min_pts));
+    benchmark::DoNotOptimize(grid.Insert(points[next++]));
   }
+  double links = 0;
+  for (CellId c = kCells; c < grid.num_cells(); ++c) {
+    links += static_cast<double>(grid.cell(c).neighbors.size());
+  }
+  state.counters["links"] = links / kCreateCellIterations;
 }
-BENCHMARK(BM_Counter_Count);
+BENCHMARK(BM_Grid_CreateCell)
+    ->Args({3, 44})
+    ->Args({5, 20})
+    ->Args({7, 14})
+    ->Iterations(kCreateCellIterations)
+    ->Unit(benchmark::kMicrosecond);
 
 // --- Hash-table layout: FlatHashMap vs std::unordered_map -------------------
 // The access pattern mirrors the clusterer hot paths: tables keyed by packed

@@ -8,8 +8,7 @@ namespace ddc {
 FullyDynamicClusterer::FullyDynamicClusterer(const DbscanParams& params)
     : params_(params),
       grid_(params.dim, params.eps),
-      counter_(&grid_, params),
-      tracker_(&grid_, &counter_, params) {
+      tracker_(&grid_, params) {
   params_.Validate();
 }
 

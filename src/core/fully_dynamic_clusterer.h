@@ -13,7 +13,6 @@
 #include "core/emptiness.h"
 #include "core/params.h"
 #include "core/relaxed_core_tracker.h"
-#include "counting/approx_counter.h"
 #include "grid/grid.h"
 
 namespace ddc {
@@ -24,7 +23,7 @@ namespace ddc {
 /// exact DBSCAN (the "2d-Full-Exact" configuration of the experiments).
 ///
 /// Composition (Sections 7.2–7.4): the relaxed core predicate is decided by
-/// a range counter (exact capped counts, which are conforming); every pair
+/// exact range counts capped at MinPts, which are conforming; every pair
 /// of ε-close core cells runs an aBCP instance over the cells' emptiness
 /// structures, whose witness pair *is* the grid-graph edge; edge
 /// appearances/disappearances feed Holm–de Lichtenberg–Thorup connectivity.
@@ -69,7 +68,6 @@ class FullyDynamicClusterer : public Clusterer {
 
   DbscanParams params_;
   Grid grid_;
-  ApproxRangeCounter counter_;
   RelaxedCoreTracker tracker_;
   HdtConnectivity cc_;
   std::vector<CellCoreState> cells_;

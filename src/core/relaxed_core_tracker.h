@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "core/params.h"
-#include "counting/approx_counter.h"
 #include "geom/point.h"
 #include "grid/grid.h"
 #include "telemetry/metrics.h"
@@ -20,26 +19,31 @@ namespace ddc {
 /// don't-care band may be declared either way; the declared statuses define
 /// one consistent legal clustering.
 ///
+/// The count is exact, |B(p,ε)| capped at MinPts, read straight from the
+/// grid. An exact count trivially lies in the band, so it is conforming at
+/// every ρ; the paper's Mount–Park structure [16] would only buy a better
+/// worst case.
+///
 /// Status can change only for points in sparse cells: a dense cell pins all
 /// of its residents to "definitely core" (any two same-cell points are
 /// within ε). Each update therefore re-examines the O(1) ε-close sparse
 /// cells (each holding < MinPts points) plus the own cell when it is not
-/// dense — O~(1) work per update with an O~(1) counter.
+/// dense — O~(1) work per update with O~(1) capped counts.
 class RelaxedCoreTracker {
  public:
-  RelaxedCoreTracker(const Grid* grid, const ApproxRangeCounter* counter,
-                     const DbscanParams& params);
+  /// `grid` must outlive the tracker.
+  RelaxedCoreTracker(const Grid* grid, const DbscanParams& params);
 
-  /// Processes the insertion of `pid` into `cell` (grid and counter already
-  /// updated). Emits `on_promote(q, cell_of_q)` for every point that turned
-  /// core, possibly including `pid`. Templated on the callback so the
-  /// per-update path never materializes a std::function.
+  /// Processes the insertion of `pid` into `cell` (grid already updated).
+  /// Emits `on_promote(q, cell_of_q)` for every point that turned core,
+  /// possibly including `pid`. Templated on the callback so the per-update
+  /// path never materializes a std::function.
   template <typename Fn>
   void OnInsert(PointId pid, CellId cell, Fn&& on_promote);
 
-  /// Processes the deletion of `deleted` out of `cell` (grid and counter
-  /// already updated; the deleted point's own demotion, if it was core, must
-  /// be handled by the caller beforehand). Emits `on_demote(q, cell_of_q)`
+  /// Processes the deletion of `deleted` out of `cell` (grid already
+  /// updated; the deleted point's own demotion, if it was core, must be
+  /// handled by the caller beforehand). Emits `on_demote(q, cell_of_q)`
   /// for every remaining point that lost core status.
   template <typename Fn>
   void OnDelete(PointId deleted, CellId cell, Fn&& on_demote);
@@ -50,14 +54,15 @@ class RelaxedCoreTracker {
   void ClearCore(PointId pid) { is_core_[pid] = false; }
 
  private:
+  /// True when alive point `pid` has at least MinPts points within ε,
+  /// itself included.
   bool QueryCore(PointId pid) const;
 
   const Grid* grid_;
-  const ApproxRangeCounter* counter_;
   DbscanParams params_;
   /// Re-query filter radius², (1+ρ)ε squared: an update farther than this
   /// from a point cannot change any conforming count for it, so its declared
-  /// status stays valid without a counter query.
+  /// status stays valid without a count query.
   double filter_sq_;
   std::vector<bool> is_core_;
   /// Scratch for the deferred promotion/demotion lists (OnInsert/OnDelete
@@ -74,9 +79,9 @@ void RelaxedCoreTracker::OnInsert(PointId pid, CellId cell, Fn&& on_promote) {
   promoted.clear();
 
   // Cascade accounting, flushed once per update: every candidate either
-  // re-queried the counter (requeries) or was skipped by the (1+ρ)ε
+  // re-ran the count (requeries) or was skipped by the (1+ρ)ε
   // distance filter (prune_skips). Dense-cell and core-flag skips are free
-  // and not counted — the interesting ratio is filter vs. counter.
+  // and not counted — the interesting ratio is filter vs. count.
   int64_t requeries = 0;
   int64_t prune_skips = 0;
 

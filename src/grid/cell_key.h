@@ -34,19 +34,12 @@ class CellKey {
     return a.c_ == b.c_;
   }
 
-  /// Key translated by `offset` (component-wise, first `dim` coordinates).
-  CellKey Shifted(const std::array<int32_t, kMaxDim>& offset, int dim) const {
-    CellKey k = *this;
-    for (int i = 0; i < dim; ++i) k.c_[i] += offset[i];
-    return k;
-  }
-
   /// Independent hash contribution of coordinate value `c` on dimension `i`.
   /// The full hash is the wrapping sum of the per-dimension terms — a
   /// *decomposable* design: the hash of a translated key is the base hash
   /// plus the term deltas of the changed dimensions, which is how the grid
-  /// probes its whole neighbor-offset table without re-mixing every key
-  /// (see Grid::ForEachMaterializedShifted).
+  /// probes every ε-close column shift without re-mixing every key (see
+  /// Grid::ForEachEpsCloseCell).
   static uint64_t DimTerm(int i, int32_t c) {
     // splitmix64 finalizer over (dimension, coordinate); each dimension gets
     // its own stream via the high 32 bits.

@@ -12,12 +12,15 @@ Grid::Grid(int dim, double eps)
     : dim_(dim),
       eps_(eps),
       side_(eps / std::sqrt(static_cast<double>(dim))),
-      offsets_(dim, side_, eps) {
+      offsets_(std::min(dim, kColumnDims), side_, eps) {
   DDC_CHECK(dim >= 1 && dim <= kMaxDim);
   DDC_CHECK(eps > 0);
   DDC_CHECK(offsets_.radius() <= kMaxOffsetRadius);
   for (int i = dim_; i < kMaxDim; ++i) {
     zero_tail_hash_ += CellKey::DimTerm(i, 0);
+  }
+  for (int i = offsets_.dim(); i < kMaxDim; ++i) {
+    column_tail_hash_ += CellKey::DimTerm(i, 0);
   }
 }
 
@@ -31,9 +34,21 @@ double Grid::KeyGapSq(const CellKey& a, const CellKey& b) const {
 }
 
 bool Grid::KeysAreEpsClose(const CellKey& a, const CellKey& b) const {
-  // Same gap formula (and fp tolerance) as NeighborOffsets, so the two
-  // discovery strategies in GetOrCreateCell agree exactly.
+  // Same gap formula (and fp tolerance) as NeighborOffsets: summed over the
+  // column dimensions first, so a column shift the table drops as too far
+  // never holds a cell that would pass here.
   return KeyGapSq(a, b) <= eps_ * eps_ * (1 + 1e-12);
+}
+
+CellKey Grid::ColumnOf(const CellKey& key, uint64_t* hash) const {
+  CellKey column;
+  uint64_t h = column_tail_hash_;
+  for (int i = 0; i < offsets_.dim(); ++i) {
+    column[i] = key[i];
+    h += CellKey::DimTerm(i, key[i]);
+  }
+  *hash = h;
+  return column;
 }
 
 void Grid::LinkNeighbors(CellId a, CellId b) {
@@ -125,20 +140,16 @@ CellId Grid::GetOrCreateCell(const CellKey& key, uint64_t key_hash,
   if (cell_index_.capacity() != index_capacity) {
     DDC_COUNTER_INC("grid.index_rehashes");
   }
-  // Link with every already-materialized ε-close cell; links are symmetric
-  // and permanent (cells are never destroyed). Two discovery strategies with
-  // identical outcomes: probing the translation-independent offset table, or
-  // scanning all existing cells — the offset table grows like (2√d+3)^d
-  // (~260k entries at d=7), so whichever side is smaller wins.
-  if (cells_.size() - 1 < offsets_.offsets().size()) {
-    for (CellId other = 0; other < c; ++other) {
-      if (KeysAreEpsClose(key, cells_[other].key)) LinkNeighbors(c, other);
-    }
-  } else {
-    ForEachMaterializedShifted(key, key_hash, [&](CellId nb) {
-      if (nb != c) LinkNeighbors(c, nb);
-    });
-  }
+  // Link with every ε-close cell made before this one, then list this one
+  // at the head of its column. Links are symmetric and permanent (cells are
+  // never destroyed).
+  ForEachEpsCloseCell(key, [&](CellId nb) { LinkNeighbors(c, nb); });
+  uint64_t column_hash = 0;
+  const CellKey column = ColumnOf(key, &column_hash);
+  CellId* head =
+      column_heads_.EmplaceHashed(column_hash, column, kInvalidCell).first;
+  next_in_column_.push_back(*head);
+  *head = c;
   *created = true;
   return c;
 }

@@ -47,8 +47,8 @@ struct Cell {
 /// dynamic point set. The grid provides
 ///   * point storage with stable ids across insertions and deletions,
 ///   * cell lookup and lazy cell materialization,
-///   * cached ε-close neighbor links (built once per cell from the
-///     precomputed offset table), and
+///   * cached ε-close neighbor links, found once per new cell through the
+///     column index (see ForEachEpsCloseCell), and
 ///   * ε-range enumeration, the primitive that both our clusterers and the
 ///     IncDBSCAN baseline build on.
 ///
@@ -130,21 +130,6 @@ class Grid {
   template <typename Fn>
   void ForEachNearbyCell(const Point& q, Fn&& fn) const;
 
-  /// ForEachNearbyCell variant reporting which cell is `q`'s own:
-  /// `fn(CellId, bool is_own)`. Callers use it to exploit the same-cell
-  /// guarantee (side ε/√d ⇒ any two points of one cell are within ε).
-  template <typename Fn>
-  void ForEachNearbyCellTagged(const Point& q, Fn&& fn) const;
-
-  /// ForEachNearbyCellTagged for a query whose cell is already known (any
-  /// alive point's cell_of): skips the key derivation, hash, and index
-  /// probe entirely.
-  template <typename Fn>
-  void ForEachNearbyCellOfTagged(CellId home, Fn&& fn) const {
-    fn(home, true);
-    for (const CellId nb : cells_[home].neighbors) fn(nb, false);
-  }
-
  private:
   struct PointRecord {
     Point point;
@@ -152,9 +137,12 @@ class Grid {
     int32_t index_in_cell = -1;
   };
 
+  /// A cell's column is its first min(dim, kColumnDims) key coordinates.
+  static constexpr int kColumnDims = 3;
+
   /// Upper bound on NeighborOffsets::radius() for side = eps/√dim,
-  /// dim <= kMaxDim (floor(√8) + 1): sizes the stack-allocated delta tables
-  /// in ForEachMaterializedShifted.
+  /// dim <= kMaxDim (floor(√8) + 1): sizes the stack-allocated delta table
+  /// in ForEachEpsCloseCell.
   static constexpr int kMaxOffsetRadius = 3;
 
   CellId GetOrCreateCell(const CellKey& key, uint64_t key_hash, bool* created);
@@ -167,16 +155,23 @@ class Grid {
     return h;
   }
 
-  /// Invokes `fn(CellId)` for every materialized cell at `key` + a
-  /// neighbor-table offset. `key_hash` must equal key.Hash(); each shifted
-  /// key's hash is derived from it through per-dimension delta tables (d
-  /// adds per offset) instead of a full re-mix per offset.
-  template <typename Fn>
-  void ForEachMaterializedShifted(const CellKey& key, uint64_t key_hash,
-                                  Fn&& fn) const;
+  /// `key`'s column as a CellKey (coordinates past the column zeroed) and
+  /// its hash in `*hash`.
+  CellKey ColumnOf(const CellKey& key, uint64_t* hash) const;
 
-  /// True when cells with these keys are ε-close (same criterion as the
-  /// offset table).
+  /// Invokes `fn(CellId)` for every materialized cell ε-close to `key`,
+  /// including the cell at `key` itself if it is listed. Walks the column
+  /// of every ε-close column shift (the zero shift included; see
+  /// NeighborOffsets) and keeps the listed cells whose full keys pass
+  /// KeysAreEpsClose. A column's projected gap never exceeds the full gap,
+  /// so no ε-close cell is missed. Each shifted column's hash is derived
+  /// from the base column hash through per-dimension delta tables (one add
+  /// per column dimension) instead of a full re-mix.
+  template <typename Fn>
+  void ForEachEpsCloseCell(const CellKey& key, Fn&& fn) const;
+
+  /// True when cells with these keys are ε-close: their box gap is at most
+  /// ε, with the same gap formula and fp tolerance as NeighborOffsets.
   bool KeysAreEpsClose(const CellKey& a, const CellKey& b) const;
 
   /// Squared minimum distance between the boxes of cells with these keys.
@@ -189,61 +184,64 @@ class Grid {
   int dim_;
   double eps_;
   double side_;
-  uint64_t zero_tail_hash_ = 0;  // Σ_{i >= dim} DimTerm(i, 0).
-  NeighborOffsets offsets_;
+  uint64_t zero_tail_hash_ = 0;    // Σ_{i >= dim} DimTerm(i, 0).
+  uint64_t column_tail_hash_ = 0;  // Σ_{i >= column dims} DimTerm(i, 0).
+  NeighborOffsets offsets_;        // Column shifts, over the column dims.
   std::vector<PointRecord> records_;
   std::vector<Cell> cells_;
   std::vector<int32_t> sizes_;  // Mirror of cells_[c].points.size().
   std::vector<CellKey> keys_;   // Mirror of cells_[c].key.
   FlatHashMap<CellKey, CellId, CellKeyHash> cell_index_;
+  /// Column index: each column's newest cell, and per cell the next older
+  /// cell of its column (kInvalidCell ends the list).
+  FlatHashMap<CellKey, CellId, CellKeyHash> column_heads_;
+  std::vector<CellId> next_in_column_;
   int64_t alive_ = 0;
 };
 
 template <typename Fn>
-void Grid::ForEachMaterializedShifted(const CellKey& key, uint64_t key_hash,
-                                      Fn&& fn) const {
-  // delta[i][off + R]: hash delta of translating dimension i by off. The
-  // tables cost dim * (2R+1) mixes once; each of the O((2R+1)^d) offsets
-  // then reconstructs its key hash with d wrapping adds.
+void Grid::ForEachEpsCloseCell(const CellKey& key, Fn&& fn) const {
+  // delta[i][off + R]: hash delta of translating column dimension i by off.
+  // The table costs k * (2R+1) mixes once; each column shift then
+  // reconstructs its column hash with k wrapping adds.
+  const int k = offsets_.dim();
   const int radius = offsets_.radius();
   DDC_DCHECK(radius <= kMaxOffsetRadius);
-  uint64_t delta[kMaxDim][2 * kMaxOffsetRadius + 1];
-  for (int i = 0; i < dim_; ++i) {
+  uint64_t column_hash = 0;
+  const CellKey column = ColumnOf(key, &column_hash);
+  uint64_t delta[kColumnDims][2 * kMaxOffsetRadius + 1];
+  for (int i = 0; i < k; ++i) {
     const uint64_t base = CellKey::DimTerm(i, key[i]);
     for (int off = -radius; off <= radius; ++off) {
       delta[i][off + radius] = CellKey::DimTerm(i, key[i] + off) - base;
     }
   }
   for (const auto& off : offsets_.offsets()) {
-    CellKey shifted = key;
-    uint64_t h = key_hash;
-    for (int i = 0; i < dim_; ++i) {
+    CellKey shifted = column;
+    uint64_t h = column_hash;
+    for (int i = 0; i < k; ++i) {
       shifted[i] += off[i];
       h += delta[i][off[i] + radius];
     }
-    const CellId* c = cell_index_.FindHashed(h, shifted);
-    if (c != nullptr) fn(*c);
+    const CellId* head = column_heads_.FindHashed(h, shifted);
+    if (head == nullptr) continue;
+    for (CellId c = *head; c != kInvalidCell; c = next_in_column_[c]) {
+      if (KeysAreEpsClose(key, keys_[c])) fn(c);
+    }
   }
 }
 
 template <typename Fn>
 void Grid::ForEachNearbyCell(const Point& q, Fn&& fn) const {
-  ForEachNearbyCellTagged(q, [&](CellId c, bool) { fn(c); });
-}
-
-template <typename Fn>
-void Grid::ForEachNearbyCellTagged(const Point& q, Fn&& fn) const {
   const CellKey key = CellKey::Of(q, dim_, side_);
-  const uint64_t h = HashKey(key);
-  const CellId* own = cell_index_.FindHashed(h, key);
+  const CellId* own = cell_index_.FindHashed(HashKey(key), key);
   if (own != nullptr) {
-    fn(*own, true);
-    for (const CellId nb : cells_[*own].neighbors) fn(nb, false);
+    fn(*own);
+    for (const CellId nb : cells_[*own].neighbors) fn(nb);
     return;
   }
-  // The query point's own cell was never materialized: fall back to probing
-  // the offset table.
-  ForEachMaterializedShifted(key, h, [&](CellId c) { fn(c, false); });
+  // The query point's own cell was never materialized: walk the columns.
+  ForEachEpsCloseCell(key, fn);
 }
 
 template <typename Fn>

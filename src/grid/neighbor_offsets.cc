@@ -20,13 +20,11 @@ NeighborOffsets::NeighborOffsets(int dim, double side, double eps) : dim_(dim) {
   for (int i = 0; i < dim; ++i) z[i] = -radius;
   for (;;) {
     double gap_sq = 0;
-    bool zero = true;
     for (int i = 0; i < dim; ++i) {
-      if (z[i] != 0) zero = false;
       const int a = std::abs(z[i]) - 1;
       if (a > 0) gap_sq += static_cast<double>(a) * a * side * side;
     }
-    if (!zero && gap_sq <= eps_sq) offsets_.push_back(z);
+    if (gap_sq <= eps_sq) offsets_.push_back(z);
     // Advance odometer.
     int i = 0;
     while (i < dim && z[i] == radius) z[i++] = -radius;

@@ -91,6 +91,8 @@ struct RunOptions {
   /// the timed window*, between the clusterer call and the closing
   /// timestamp: the op is durable (per the writer's fsync policy) before it
   /// counts as done, so measured update cost includes the durability bill.
+  /// The one sync at run end, which leaves the whole log durable whatever
+  /// the policy, runs after the timed window closes.
   /// A WAL write error aborts the run (durability is not best-effort).
   WalWriter* wal = nullptr;
 };

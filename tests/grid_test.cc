@@ -23,37 +23,56 @@ TEST(CellKeyTest, OfUsesFloor) {
 
 TEST(CellKeyTest, ShiftAndEquality) {
   const CellKey a = CellKey::Of(Point{0.5, 0.5}, 2, 1.0);
-  std::array<int32_t, kMaxDim> off{};
-  off[0] = 2;
-  off[1] = -1;
-  const CellKey b = a.Shifted(off, 2);
+  CellKey b = a;
+  b[0] += 2;
+  b[1] -= 1;
   EXPECT_EQ(b[0], 2);
   EXPECT_EQ(b[1], -1);
   EXPECT_FALSE(a == b);
   EXPECT_NE(a.Hash(), b.Hash());  // Overwhelmingly likely.
 }
 
-// The offset table must contain exactly the offsets whose box-to-box gap is
-// at most eps — cross-checked against explicit Box geometry.
+/// Box-to-box gap² of two cell keys over their first `dim` coordinates, with
+/// the grid's formula (boundary gap (|Δ| - 1) * side per dimension).
+double KeyGapSq(const CellKey& a, const CellKey& b, int dim, double side) {
+  double gap_sq = 0;
+  for (int i = 0; i < dim; ++i) {
+    const int g = std::abs(a[i] - b[i]) - 1;
+    if (g > 0) gap_sq += static_cast<double>(g) * g * side * side;
+  }
+  return gap_sq;
+}
+
+/// The grid's closeness test, tolerance included: ties at exactly ε are
+/// close.
+bool WithinEpsSq(double gap_sq, double eps) {
+  return gap_sq <= eps * eps * (1 + 1e-12);
+}
+
+// The grid builds its offset table over the column dimensions, min(d, 3),
+// at the cell side of d dimensions. The table must hold exactly the column
+// shifts, the zero shift included, whose box-to-box gap over those
+// dimensions is at most eps — cross-checked against explicit Box geometry.
 class NeighborOffsetsTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(NeighborOffsetsTest, MatchesBoxDistance) {
   const int dim = GetParam();
+  const int k = std::min(dim, 3);
   const double eps = 3.7;
   const double side = eps / std::sqrt(static_cast<double>(dim));
-  NeighborOffsets table(dim, side, eps);
+  NeighborOffsets table(k, side, eps);
 
   std::set<std::array<int32_t, kMaxDim>> got(table.offsets().begin(),
                                              table.offsets().end());
-  // No duplicates.
+  // No duplicates, at most 7^3 shifts, origin included.
   EXPECT_EQ(got.size(), table.offsets().size());
-  // Origin excluded.
-  EXPECT_EQ(got.count(std::array<int32_t, kMaxDim>{}), 0u);
+  EXPECT_LE(got.size(), 343u);
+  EXPECT_EQ(got.count(std::array<int32_t, kMaxDim>{}), 1u);
 
   // Brute-force enumeration over a generous radius.
   const int radius = static_cast<int>(std::ceil(std::sqrt(dim))) + 2;
   Point zero_lo, zero_hi;
-  for (int i = 0; i < dim; ++i) {
+  for (int i = 0; i < k; ++i) {
     zero_lo[i] = 0;
     zero_hi[i] = side;
   }
@@ -61,31 +80,27 @@ TEST_P(NeighborOffsetsTest, MatchesBoxDistance) {
 
   std::array<int32_t, kMaxDim> z{};
   int checked = 0;
-  std::vector<int> stack(dim, -radius);
+  std::vector<int> stack(k, -radius);
   for (;;) {
-    for (int i = 0; i < dim; ++i) z[i] = stack[i];
-    bool zero = std::all_of(stack.begin(), stack.end(),
-                            [](int v) { return v == 0; });
+    for (int i = 0; i < k; ++i) z[i] = stack[i];
     Point lo, hi;
-    for (int i = 0; i < dim; ++i) {
+    for (int i = 0; i < k; ++i) {
       lo[i] = z[i] * side;
       hi[i] = (z[i] + 1) * side;
     }
     const bool close =
-        origin.MinSquaredDistance(Box(lo, hi), dim) <= eps * eps * (1 + 1e-12);
-    if (!zero) {
-      EXPECT_EQ(got.count(z) > 0, close) << "offset mismatch at dim=" << dim;
-    }
+        origin.MinSquaredDistance(Box(lo, hi), k) <= eps * eps * (1 + 1e-12);
+    EXPECT_EQ(got.count(z) > 0, close) << "offset mismatch at dim=" << dim;
     ++checked;
     int i = 0;
-    while (i < dim && stack[i] == radius) stack[i++] = -radius;
-    if (i == dim) break;
+    while (i < k && stack[i] == radius) stack[i++] = -radius;
+    if (i == k) break;
     ++stack[i];
   }
   EXPECT_GT(checked, 1);
 }
 
-INSTANTIATE_TEST_SUITE_P(Dims, NeighborOffsetsTest, ::testing::Values(1, 2, 3, 4, 5));
+INSTANTIATE_TEST_SUITE_P(Dims, NeighborOffsetsTest, ::testing::Range(1, 9));
 
 TEST(GridTest, InsertDeleteBookkeeping) {
   Grid grid(2, 1.0);
@@ -134,26 +149,78 @@ TEST(GridTest, NeighborLinksAreSymmetricAndClose) {
   }
 }
 
-TEST(GridTest, NeighborLinksAreComplete) {
-  // Every pair of materialized cells within eps must be linked.
-  Rng rng(78);
-  Grid grid(2, 1.5);
-  for (const Point& p : UniformPoints(rng, 200, 2, 10.0)) grid.Insert(p);
+/// Every cell's neighbor list must hold exactly the other cells that pass
+/// the brute-force closeness test over all cell pairs, ties included, each
+/// once. Checked from every cell, so both directions of every link are.
+/// Returns the number of close pairs whose gap ties ε.
+int ExpectLinksMatchBruteForce(const Grid& grid) {
+  const int dim = grid.dim();
   const double eps_sq = grid.eps() * grid.eps();
+  int ties = 0;
   for (CellId a = 0; a < grid.num_cells(); ++a) {
-    for (CellId b = a + 1; b < grid.num_cells(); ++b) {
+    const std::vector<CellId>& nbs = grid.cell(a).neighbors;
+    const std::set<CellId> got(nbs.begin(), nbs.end());
+    EXPECT_EQ(got.size(), nbs.size()) << "duplicate link at cell " << a;
+    std::set<CellId> want;
+    for (CellId b = 0; b < grid.num_cells(); ++b) {
+      if (b == a) continue;
       const double gap_sq =
-          grid.cell_box(a).MinSquaredDistance(grid.cell_box(b), 2);
-      // Ties at exactly eps (e.g. diagonal offsets on a side of ε/√d) are
-      // resolved by the offset table with a tolerance; skip the knife edge.
-      if (std::abs(gap_sq - eps_sq) <= 1e-9 * eps_sq) continue;
-      const bool close = gap_sq < eps_sq;
-      const auto& nbs = grid.cell(a).neighbors;
-      const bool linked = std::find(nbs.begin(), nbs.end(), b) != nbs.end();
-      EXPECT_EQ(linked, close) << "cells " << a << "," << b;
+          KeyGapSq(grid.cell_key(a), grid.cell_key(b), dim, grid.side());
+      if (!WithinEpsSq(gap_sq, grid.eps())) continue;
+      want.insert(b);
+      if (b > a && std::abs(gap_sq - eps_sq) <= 1e-9 * eps_sq) ++ties;
     }
+    EXPECT_EQ(got, want) << "cell " << a << " at dim=" << dim;
+  }
+  return ties;
+}
+
+// Uniform points over a box a few cells wide per dimension, so cells have
+// ε-close cells in every column around them. The cell side divides ε at
+// d = 1 and d = 4, so there some links tie at exactly ε.
+class GridLinksTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(GridLinksTest, UniformPointsMatchBruteForce) {
+  const int dim = GetParam();
+  Rng rng(78 + dim);
+  Grid grid(dim, 1.5);
+  const double cells_per_dim =
+      std::max(4.0, std::round(std::pow(1000.0, 1.0 / dim)));
+  for (const Point& p :
+       UniformPoints(rng, 300, dim, cells_per_dim * grid.side())) {
+    grid.Insert(p);
+  }
+  EXPECT_GT(grid.num_cells(), 100);
+  const int ties = ExpectLinksMatchBruteForce(grid);
+  if (dim == 1 || dim == 4) {
+    EXPECT_GT(ties, 0);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Dims, GridLinksTest, ::testing::Range(1, 9));
+
+// Points sharing their first three cell coordinates: every cell lies in one
+// column, hundreds deep, and all of its ε-close cells lie in that column.
+class GridLongColumnTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(GridLongColumnTest, LinksMatchBruteForce) {
+  const int dim = GetParam();
+  Rng rng(178 + dim);
+  Grid grid(dim, 1.5);
+  const double cells_per_dim =
+      std::max(4.0, std::round(std::pow(600.0, 1.0 / (dim - 3))));
+  for (Point p : UniformPoints(rng, 600, dim, cells_per_dim * grid.side())) {
+    for (int i = 0; i < 3; ++i) p[i] = 0.5 * grid.side();
+    grid.Insert(p);
+  }
+  EXPECT_GT(grid.num_cells(), 300);
+  const int ties = ExpectLinksMatchBruteForce(grid);
+  if (dim == 4) {
+    EXPECT_GT(ties, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, GridLongColumnTest, ::testing::Range(4, 9));
 
 class GridRangeTest : public ::testing::TestWithParam<int> {};
 
@@ -187,7 +254,7 @@ TEST_P(GridRangeTest, RangeMatchesBruteForce) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Dims, GridRangeTest, ::testing::Values(1, 2, 3, 5, 7));
+INSTANTIATE_TEST_SUITE_P(Dims, GridRangeTest, ::testing::Range(1, 9));
 
 TEST(GridTest, FindCell) {
   Grid grid(2, 1.0);

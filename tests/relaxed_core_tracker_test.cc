@@ -9,15 +9,16 @@
 namespace ddc {
 namespace {
 
+class RelaxedTrackerTest : public ::testing::TestWithParam<double> {};
+
 /// Soundness of the relaxed predicate under mixed updates: a marked core
 /// point must have |B(p,(1+ρ)ε)| >= MinPts, an unmarked one must have
 /// |B(p,ε)| < MinPts — everything else is don't-care.
-TEST(RelaxedTrackerTest, StatusStaysInsideBand) {
-  DbscanParams params{.dim = 2, .eps = 1.0, .min_pts = 4, .rho = 0.15};
+TEST_P(RelaxedTrackerTest, StatusStaysInsideBand) {
+  DbscanParams params{.dim = 2, .eps = 1.0, .min_pts = 4, .rho = GetParam()};
   Rng rng(606);
   Grid grid(2, params.eps);
-  ApproxRangeCounter counter(&grid, params);
-  RelaxedCoreTracker tracker(&grid, &counter, params);
+  RelaxedCoreTracker tracker(&grid, params);
 
   std::vector<PointId> alive;
   auto noop_promote = [&](PointId, CellId) {};
@@ -56,11 +57,13 @@ TEST(RelaxedTrackerTest, StatusStaysInsideBand) {
   }
 }
 
+INSTANTIATE_TEST_SUITE_P(Rhos, RelaxedTrackerTest,
+                         ::testing::Values(0.0, 0.001, 0.1, 0.15, 0.3, 0.5));
+
 TEST(RelaxedTrackerTest, PromotionsAndDemotionsFire) {
   DbscanParams params{.dim = 2, .eps = 1.0, .min_pts = 3, .rho = 0.0};
   Grid grid(2, params.eps);
-  ApproxRangeCounter counter(&grid, params);
-  RelaxedCoreTracker tracker(&grid, &counter, params);
+  RelaxedCoreTracker tracker(&grid, params);
 
   std::vector<PointId> promoted, demoted;
   auto on_promote = [&](PointId p, CellId) { promoted.push_back(p); };

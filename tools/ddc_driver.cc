@@ -54,10 +54,13 @@
 //
 // Durability (see the "Durability" section of README.md):
 //   --wal-dir     Log every applied update to a write-ahead log before it
-//                 leaves the timing window. Each scenario×method run logs
-//                 into its own subdirectory <wal-dir>/<scenario>_<method>/
-//                 (RUNMETA.json + wal-*.log); a directory that already holds
-//                 a log is refused, never appended to.
+//                 leaves the timing window: appends, and the syncs
+//                 --wal-sync asks for, are timed. The one sync at run end
+//                 that leaves the whole log durable is not. Each
+//                 scenario×method run logs into its own subdirectory
+//                 <wal-dir>/<scenario>_<method>/ (RUNMETA.json +
+//                 wal-*.log); a directory that already holds a log is
+//                 refused, never appended to.
 //   --wal-sync    fsync policy: 0 = never (default; a SIGKILL still loses
 //                 nothing — only power failure can), 1 = every record,
 //                 N > 1 = group commit every N records.
