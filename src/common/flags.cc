@@ -28,6 +28,30 @@ Flags::Flags(int argc, char** argv) {
 
 namespace {
 
+/// The number rules of flags and spec values: the whole string must parse,
+/// so `2k` is not 2 and `abc` is not 0; an integer must fit int64_t; and a
+/// double must be finite, since `inf` or `nan` would reach the geometry.
+bool ParseInt(const std::string& raw, int64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(raw.c_str(), &end, 10);
+  if (raw.empty() || end != raw.c_str() + raw.size() || errno != 0) {
+    return false;
+  }
+  *out = static_cast<int64_t>(value);
+  return true;
+}
+
+bool ParseDouble(const std::string& raw, double* out) {
+  char* end = nullptr;
+  const double value = std::strtod(raw.c_str(), &end);
+  if (raw.empty() || end != raw.c_str() + raw.size() || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 /// Aborts naming the flag and its value: a number that parses only in part
 /// (`--n=2k` as 2) or not at all (`--budget=abc` as 0) would otherwise run
 /// a different experiment than the one asked for.
@@ -44,25 +68,20 @@ int64_t Flags::GetInt(const std::string& name, int64_t def) const {
   read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
-  const std::string& raw = it->second;
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(raw.c_str(), &end, 10);
-  if (raw.empty() || end != raw.c_str() + raw.size() || errno != 0) {
-    MalformedNumber(name, raw, "an integer");
+  int64_t value = 0;
+  if (!ParseInt(it->second, &value)) {
+    MalformedNumber(name, it->second, "an integer");
   }
-  return static_cast<int64_t>(value);
+  return value;
 }
 
 double Flags::GetDouble(const std::string& name, double def) const {
   read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
-  const std::string& raw = it->second;
-  char* end = nullptr;
-  const double value = std::strtod(raw.c_str(), &end);
-  if (raw.empty() || end != raw.c_str() + raw.size() || !std::isfinite(value)) {
-    MalformedNumber(name, raw, "a finite number");
+  double value = 0;
+  if (!ParseDouble(it->second, &value)) {
+    MalformedNumber(name, it->second, "a finite number");
   }
   return value;
 }
@@ -97,38 +116,90 @@ void Flags::CheckAllRead() const {
   DDC_CHECK(!unread && "unknown flag");
 }
 
-bool SplitKeyValueList(const std::string& list,
-                       std::vector<std::pair<std::string, std::string>>* out,
-                       std::string* bad_item) {
-  out->clear();
-  if (list.empty()) return true;
-  size_t start = 0;
-  while (start <= list.size()) {
-    size_t comma = list.find(',', start);
-    if (comma == std::string::npos) comma = list.size();
-    std::string item = list.substr(start, comma - start);
+bool Spec::Parse(const std::string& text, Spec* out, std::string* why) {
+  *out = Spec();
+  out->text_ = text;
+  const size_t colon = text.find(':');
+  out->name_ = text.substr(0, colon);
+  if (out->name_.empty()) {
+    *why = "empty name";
+    return false;
+  }
+  if (colon == std::string::npos || colon + 1 == text.size()) return true;
+  size_t start = colon + 1;
+  while (start <= text.size()) {
+    size_t comma = text.find(',', start);
+    if (comma == std::string::npos) comma = text.size();
+    const std::string item = text.substr(start, comma - start);
     const size_t eq = item.find('=');
     if (eq == 0 || eq == std::string::npos) {  // Also catches empty items.
-      *bad_item = std::move(item);
+      const char* what = item.empty() ? "empty item"
+                         : eq == 0    ? "empty key"
+                                      : "missing '=', expected key=value";
+      *why = "malformed item '" + item + "' (" + what + ")";
       return false;
     }
-    out->emplace_back(item.substr(0, eq), item.substr(eq + 1));
+    out->params_.emplace_back(item.substr(0, eq), item.substr(eq + 1));
     start = comma + 1;
   }
   return true;
 }
 
-std::vector<std::pair<std::string, std::string>> ParseKeyValueList(
-    const std::string& list) {
-  std::vector<std::pair<std::string, std::string>> entries;
-  std::string bad;
-  if (!SplitKeyValueList(list, &entries, &bad)) {
-    DDC_CHECK(!bad.empty() && "empty item in key=value list");
-    DDC_CHECK(bad.find('=') != std::string::npos &&
-              "key=value item missing '='");
-    DDC_CHECK(bad.front() != '=' && "empty key in key=value list");
+const std::string* Spec::Find(const std::string& key) const {
+  read_.insert(key);
+  const std::string* found = nullptr;
+  for (const auto& [k, v] : params_) {
+    if (k == key) found = &v;  // The last occurrence wins.
   }
-  return entries;
+  return found;
+}
+
+void Spec::Refuse(const std::string& key, const std::string& value,
+                  const std::string& what) const {
+  if (refused_.empty()) refused_ = "key " + key + "=" + value + " " + what;
+}
+
+int64_t Spec::GetInt(const std::string& key, int64_t def, int64_t lo,
+                     int64_t hi) const {
+  const std::string* raw = Find(key);
+  if (raw == nullptr) return def;
+  int64_t value = 0;
+  if (!ParseInt(*raw, &value)) {
+    Refuse(key, *raw, "is not an integer");
+    return def;
+  }
+  if (value < lo || value > hi) {
+    Refuse(key, *raw,
+           "is out of range [" + std::to_string(lo) + ", " +
+               std::to_string(hi) + "]");
+    return def;
+  }
+  return value;
+}
+
+double Spec::GetDouble(const std::string& key, double def) const {
+  const std::string* raw = Find(key);
+  if (raw == nullptr) return def;
+  double value = 0;
+  if (!ParseDouble(*raw, &value)) {
+    Refuse(key, *raw, "is not a finite number");
+    return def;
+  }
+  return value;
+}
+
+bool Spec::Problem(std::string* why) const {
+  if (!refused_.empty()) {
+    *why = refused_;
+    return true;
+  }
+  for (const auto& [key, value] : params_) {
+    if (read_.count(key) == 0) {
+      *why = "unknown key '" + key + "'";
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace ddc

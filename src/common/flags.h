@@ -2,6 +2,7 @@
 #define DDC_COMMON_FLAGS_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -12,7 +13,8 @@ namespace ddc {
 
 /// Minimal `--key=value` command-line parser used by `ddc_driver`,
 /// perfbench and the examples, so every experiment can be re-run at
-/// different scales without editing code.
+/// different scales without editing code. Its numbers follow the same rules
+/// as a Spec's values.
 class Flags {
  public:
   /// Parses argv; entries must look like `--name=value` or `--name value`.
@@ -42,20 +44,54 @@ class Flags {
   mutable std::set<std::string> read_;
 };
 
-/// Splits a comma-separated `key=value` sublist — the payload of compound
-/// specs like `--scenario=burst:n=200000,dup=0.3` or
-/// `--methods=sharded-double-approx:shards=8` — into `out`. Keys keep
-/// document order (duplicates allowed; consumers decide). The empty string
-/// yields an empty list. An empty item, an item without '=', or an empty
-/// key makes it return false with that item in `bad_item`.
-bool SplitKeyValueList(const std::string& list,
-                       std::vector<std::pair<std::string, std::string>>* out,
-                       std::string* bad_item);
+/// A named spec with key=value parameters, the one grammar of scenario specs
+/// (`--scenario=burst:n=200000,dup=0.3`) and method specs
+/// (`--methods=sharded-double-approx:shards=8`):
+///
+///   spec   := name [ ':' params ]
+///   params := key '=' value ( ',' key '=' value )*
+///
+/// `name:` means no keys. Keys keep document order and may repeat; a getter
+/// reads the last occurrence. Nothing here aborts: the getters record every
+/// key they are asked for and every value they refuse, and the caller, once
+/// it has read what it knows, asks Problem what to refuse — a typo or a
+/// malformed value must never run a default silently.
+class Spec {
+ public:
+  /// Parses `text` into `*out`. False, with the reason in `*why`, on an
+  /// empty name or a malformed item: an empty item, an item without '=',
+  /// or an empty key.
+  static bool Parse(const std::string& text, Spec* out, std::string* why);
 
-/// SplitKeyValueList that aborts via DDC_CHECK on a malformed item, naming
-/// what is wrong with it (empty item, missing '=', empty key).
-std::vector<std::pair<std::string, std::string>> ParseKeyValueList(
-    const std::string& list);
+  const std::string& name() const { return name_; }
+  /// The spec as written, for provenance.
+  const std::string& text() const { return text_; }
+
+  /// The value of `key`, or `def` when the key is absent. A value follows
+  /// Flags' rules — it must parse whole, and a double must be finite — and
+  /// an integer must lie in [lo, hi]; a value that breaks them reads as
+  /// `def` and is reported by Problem.
+  int64_t GetInt(const std::string& key, int64_t def,
+                 int64_t lo = std::numeric_limits<int64_t>::min(),
+                 int64_t hi = std::numeric_limits<int64_t>::max()) const;
+  double GetDouble(const std::string& key, double def) const;
+
+  /// True, with the reason in `*why`, when a getter refused a value (the
+  /// first one refused) or, failing that, when the spec carries a key no
+  /// getter asked for (the first one in document order).
+  bool Problem(std::string* why) const;
+
+ private:
+  const std::string* Find(const std::string& key) const;
+  void Refuse(const std::string& key, const std::string& value,
+              const std::string& what) const;
+
+  std::string name_;
+  std::string text_;
+  std::vector<std::pair<std::string, std::string>> params_;
+  mutable std::set<std::string> read_;
+  mutable std::string refused_;
+};
 
 }  // namespace ddc
 

@@ -2,7 +2,6 @@
 #define DDC_CORE_CLUSTER_SNAPSHOT_H_
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -443,19 +442,17 @@ class SharedPtrSlot {
 };
 
 /// The publication slot of a grid clusterer's snapshot: a swapped
-/// shared_ptr, a relaxed update counter, and the dirty bits the next freeze
-/// rebuilds from. The update path pays one relaxed fetch_add plus a bit-set
-/// or two per update (invalidation is implicit — a cached snapshot whose
-/// epoch trails the version is stale); the snapshot slot itself is only
-/// written by the owning thread's GetOrBuild and read by anyone.
+/// shared_ptr, an update counter, and the dirty bits the next freeze
+/// rebuilds from. The update path pays one increment plus a bit-set or two
+/// per update (invalidation is implicit — a cached snapshot whose epoch
+/// trails the version is stale). Everything but the slot belongs to the
+/// owning thread, the one that applies the clusterer's updates (a shard's
+/// worker in the sharded engine): GetOrBuild runs there, and other threads
+/// read only the slot, through Peek.
 class SnapshotCache {
  public:
-  /// Called once per applied update (any thread).
-  void BumpVersion() { version_.fetch_add(1, std::memory_order_relaxed); }
-
-  uint64_t version() const {
-    return version_.load(std::memory_order_relaxed);
-  }
+  /// Called once per applied update (owning thread).
+  void BumpVersion() { ++version_; }
 
   /// Point `p` was inserted or deleted (owning thread).
   void MarkPoint(PointId p) { dirty_.MarkPoint(p); }
@@ -473,7 +470,7 @@ class SnapshotCache {
   std::shared_ptr<const ClusterSnapshot> GetOrBuild(
       const Grid& grid, const IsCore& is_core, const CellLabel& cell_label,
       const DbscanParams& params) {
-    const uint64_t v = version();
+    const uint64_t v = version_;
     std::shared_ptr<const GridSnapshot> cached = cached_.Load();
     if (cached != nullptr && cached->epoch() == v) return cached;
     std::shared_ptr<const GridSnapshot> fresh = GridSnapshot::Build(
@@ -488,7 +485,7 @@ class SnapshotCache {
   }
 
  private:
-  std::atomic<uint64_t> version_{0};
+  uint64_t version_ = 0;
   SnapshotDirtySet dirty_;
   SharedPtrSlot<const GridSnapshot> cached_;
 };

@@ -12,9 +12,11 @@ namespace ddc {
 
 /// Name-keyed factory over the algorithm configurations the benches and
 /// `ddc_driver` run, extended with the sharded engine. A method is selected
-/// by a *spec* in the same mini-grammar the scenarios use:
+/// by a *spec*, read by Spec (common/flags.h) like a scenario spec:
 ///
 ///   spec := name [ ':' key '=' value ( ',' key '=' value )* ]
+///
+/// A knob value must parse whole as an integer in the knob's range.
 ///
 /// Methods (Section 8.1's evaluation plus the engine):
 ///   "2d-semi-exact"         — Theorem 1 with rho = 0 (exact, insert-only)
@@ -48,26 +50,17 @@ const std::vector<MethodInfo>& AllMethodInfos();
 /// the same text the registry prints before aborting on a bad spec.
 std::string MethodHelp();
 
-/// Builds the clusterer a spec describes. Aborts on an unknown method name,
-/// an unknown knob, or an out-of-range knob value, after printing the full
+/// Builds the clusterer a spec describes. Aborts on a malformed spec, an
+/// unknown method name, an unknown knob, or a knob value that is not an
+/// integer or is out of range, after printing the problem and the full
 /// method/knob listing to stderr (use ValidateMethodSpec to probe first).
 std::unique_ptr<Clusterer> MakeMethod(const std::string& spec,
                                       DbscanParams params);
 
 /// Non-aborting spec check: true when MakeMethod would accept `spec`. On
-/// failure describes the problem — including the registered methods and the
-/// offending method's knobs — in `*why` (may be nullptr).
+/// failure names the problem in `*why` (may be nullptr): the malformed
+/// item, the unknown method or key, or the refused knob value.
 bool ValidateMethodSpec(const std::string& spec, std::string* why);
-
-/// All registered method names (base names, no knobs), in registry order.
-const std::vector<std::string>& MethodNames();
-
-/// The base method name of a spec: everything before the first ':'. The one
-/// place the spec-to-name rule lives — every helper below goes through it.
-std::string MethodBaseName(const std::string& spec);
-
-/// True when the *base name* of `spec` (the part before ':') is registered.
-bool IsMethod(const std::string& spec);
 
 /// False for the semi-dynamic (insertion-only) methods, whose Delete
 /// aborts; drivers skip those on workloads containing deletions. Accepts

@@ -151,7 +151,10 @@ void ShardedClusterer::PublishShard(Shard& shard) {
     const int64_t depth = static_cast<int64_t>(shard.pending.size());
     if (depth > shard.queue_hwm) shard.queue_hwm = depth;
   }
+  // The move left `open` with no capacity; without the reserve the next
+  // batch would regrow it op by op on the ingest thread.
   shard.open.clear();
+  shard.open.reserve(options_.batch);
   shard.dirty = true;
   pool_->Submit(shard.worker, [this, s = &shard] { ProcessShard(s); });
 }

@@ -132,6 +132,11 @@ CellId Grid::GetOrCreateCell(const CellKey& key, uint64_t key_hash,
   sizes_.push_back(0);
   keys_.push_back(key);
   DDC_COUNTER_INC("grid.cells_created");
+  // Link with every ε-close cell made before this one, then index this one
+  // (and, at dim > kColumnDims, list it at the head of its column): the
+  // walk must not meet the new cell itself. Links are symmetric and
+  // permanent (cells are never destroyed).
+  ForEachEpsCloseCell(key, [&](CellId nb) { LinkNeighbors(c, nb); });
   // The flat-hash index rehashes by reallocating its slot array; a capacity
   // change across the insert is exactly one rehash (counted here so the hash
   // table itself stays telemetry-free).
@@ -140,16 +145,14 @@ CellId Grid::GetOrCreateCell(const CellKey& key, uint64_t key_hash,
   if (cell_index_.capacity() != index_capacity) {
     DDC_COUNTER_INC("grid.index_rehashes");
   }
-  // Link with every ε-close cell made before this one, then list this one
-  // at the head of its column. Links are symmetric and permanent (cells are
-  // never destroyed).
-  ForEachEpsCloseCell(key, [&](CellId nb) { LinkNeighbors(c, nb); });
-  uint64_t column_hash = 0;
-  const CellKey column = ColumnOf(key, &column_hash);
-  CellId* head =
-      column_heads_.EmplaceHashed(column_hash, column, kInvalidCell).first;
-  next_in_column_.push_back(*head);
-  *head = c;
+  if (offsets_.dim() < dim_) {
+    uint64_t column_hash = 0;
+    const CellKey column = ColumnOf(key, &column_hash);
+    CellId* head =
+        column_heads_.EmplaceHashed(column_hash, column, kInvalidCell).first;
+    next_in_column_.push_back(*head);
+    *head = c;
+  }
   *created = true;
   return c;
 }

@@ -48,7 +48,8 @@ struct Cell {
 ///   * point storage with stable ids across insertions and deletions,
 ///   * cell lookup and lazy cell materialization,
 ///   * cached ε-close neighbor links, found once per new cell through the
-///     column index (see ForEachEpsCloseCell), and
+///     column index, which at d <= 3 is the key index itself (see
+///     ForEachEpsCloseCell), and
 ///   * ε-range enumeration, the primitive that both our clusterers and the
 ///     IncDBSCAN baseline build on.
 ///
@@ -160,11 +161,13 @@ class Grid {
   CellKey ColumnOf(const CellKey& key, uint64_t* hash) const;
 
   /// Invokes `fn(CellId)` for every materialized cell ε-close to `key`,
-  /// including the cell at `key` itself if it is listed. Walks the column
+  /// including the cell at `key` itself if it is indexed. Walks the column
   /// of every ε-close column shift (the zero shift included; see
   /// NeighborOffsets) and keeps the listed cells whose full keys pass
   /// KeysAreEpsClose. A column's projected gap never exceeds the full gap,
-  /// so no ε-close cell is missed. Each shifted column's hash is derived
+  /// so no ε-close cell is missed. At dim <= kColumnDims a column is the
+  /// full key, so the shifts are exactly the ε-close keys and `cell_index_`
+  /// answers for the column index. Each shifted column's hash is derived
   /// from the base column hash through per-dimension delta tables (one add
   /// per column dimension) instead of a full re-mix.
   template <typename Fn>
@@ -192,8 +195,9 @@ class Grid {
   std::vector<int32_t> sizes_;  // Mirror of cells_[c].points.size().
   std::vector<CellKey> keys_;   // Mirror of cells_[c].key.
   FlatHashMap<CellKey, CellId, CellKeyHash> cell_index_;
-  /// Column index: each column's newest cell, and per cell the next older
-  /// cell of its column (kInvalidCell ends the list).
+  /// Column index, kept only at dim > kColumnDims (below, a column is one
+  /// cell and `cell_index_` serves): each column's newest cell, and per
+  /// cell the next older cell of its column (kInvalidCell ends the list).
   FlatHashMap<CellKey, CellId, CellKeyHash> column_heads_;
   std::vector<CellId> next_in_column_;
   int64_t alive_ = 0;
@@ -222,6 +226,11 @@ void Grid::ForEachEpsCloseCell(const CellKey& key, Fn&& fn) const {
     for (int i = 0; i < k; ++i) {
       shifted[i] += off[i];
       h += delta[i][off[i] + radius];
+    }
+    if (k == dim_) {  // The column is the full key: at most one cell.
+      const CellId* c = cell_index_.FindHashed(h, shifted);
+      if (c != nullptr) fn(*c);
+      continue;
     }
     const CellId* head = column_heads_.FindHashed(h, shifted);
     if (head == nullptr) continue;

@@ -1,77 +1,22 @@
 #include "scenario/scenario.h"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 #include "common/check.h"
-#include "common/flags.h"
 
 namespace ddc {
 
-ScenarioSpec ScenarioSpec::Parse(const std::string& text) {
-  ScenarioSpec spec;
-  spec.text_ = text;
-  const size_t colon = text.find(':');
-  spec.name_ = text.substr(0, colon);
-  DDC_CHECK(!spec.name_.empty() && "scenario spec needs a name");
-  if (colon != std::string::npos) {
-    spec.params_ = ParseKeyValueList(text.substr(colon + 1));
-  }
-  if (const std::string* raw = spec.FindRaw("seed")) {
-    // strtoull would silently wrap "-1"; require a plain unsigned integer.
-    char* end = nullptr;
-    errno = 0;
-    spec.seed_ = static_cast<uint64_t>(std::strtoull(raw->c_str(), &end, 10));
-    DDC_CHECK(end != raw->c_str() && *end == '\0' && (*raw)[0] != '-' &&
-              errno == 0 && "scenario seed is not an unsigned integer");
-    spec.seed_from_spec_ = true;
-    spec.consumed_.insert("seed");
-  }
-  return spec;
+namespace {
+
+/// Aborts naming the spec and what is wrong with it.
+void RefuseSpec(const std::string& text, const std::string& why) {
+  std::fprintf(stderr, "bad scenario spec '%s': %s\n", text.c_str(),
+               why.c_str());
+  DDC_CHECK(false && "bad scenario spec");
 }
 
-const std::string* ScenarioSpec::FindRaw(const std::string& key) const {
-  const std::string* found = nullptr;
-  for (const auto& [k, v] : params_) {
-    if (k == key) found = &v;  // Last occurrence wins.
-  }
-  return found;
-}
-
-int64_t ScenarioSpec::GetInt(const std::string& key, int64_t def) const {
-  consumed_.insert(key);
-  const std::string* raw = FindRaw(key);
-  if (raw == nullptr) return def;
-  char* end = nullptr;
-  errno = 0;
-  const int64_t value = std::strtoll(raw->c_str(), &end, 10);
-  DDC_CHECK(end != raw->c_str() && *end == '\0' && errno == 0 &&
-            "scenario parameter is not an integer");
-  return value;
-}
-
-double ScenarioSpec::GetDouble(const std::string& key, double def) const {
-  consumed_.insert(key);
-  const std::string* raw = FindRaw(key);
-  if (raw == nullptr) return def;
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(raw->c_str(), &end);
-  DDC_CHECK(end != raw->c_str() && *end == '\0' && errno == 0 &&
-            "scenario parameter is not a number");
-  return value;
-}
-
-void ScenarioSpec::CheckAllKeysConsumed() const {
-  for (const auto& [k, v] : params_) {
-    if (consumed_.count(k) == 0) {
-      std::fprintf(stderr, "scenario '%s': unknown parameter '%s=%s'\n",
-                   name_.c_str(), k.c_str(), v.c_str());
-      DDC_CHECK(false && "unknown scenario parameter");
-    }
-  }
-}
+}  // namespace
 
 const Scenario* FindScenario(const std::string& name) {
   for (const auto& s : AllScenarios()) {
@@ -82,18 +27,21 @@ const Scenario* FindScenario(const std::string& name) {
 
 Workload BuildScenarioWorkload(const std::string& spec_text,
                                uint64_t default_seed) {
-  ScenarioSpec spec = ScenarioSpec::Parse(spec_text);
+  Spec spec;
+  std::string why;
+  if (!Spec::Parse(spec_text, &spec, &why)) RefuseSpec(spec_text, why);
   const Scenario* scenario = FindScenario(spec.name());
   if (scenario == nullptr) {
-    std::fprintf(stderr, "unknown scenario '%s'; available:\n%s",
-                 spec.name().c_str(), ScenarioHelp().c_str());
-    DDC_CHECK(false && "unknown scenario");
+    RefuseSpec(spec_text, "unknown scenario '" + spec.name() +
+                              "'; available:\n" + ScenarioHelp());
   }
-  spec.set_seed(default_seed);
-  Workload w = scenario->Generate(spec);
-  spec.CheckAllKeysConsumed();
+  const uint64_t seed = static_cast<uint64_t>(
+      spec.GetInt("seed", static_cast<int64_t>(default_seed), 0,
+                  std::numeric_limits<int64_t>::max()));
+  Workload w = scenario->Generate(spec, seed);
+  if (spec.Problem(&why)) RefuseSpec(spec_text, why);
   DDC_CHECK(w.dim > 0 && "scenario must set Workload::dim");
-  w.seed = spec.seed();  // Effective seed (a spec seed= key beats the flag).
+  w.seed = seed;  // Effective seed (a spec seed= key beats the flag).
   return w;
 }
 

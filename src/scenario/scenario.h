@@ -3,64 +3,18 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "common/flags.h"
 #include "workload/workload.h"
 
 namespace ddc {
 
-/// A parsed workload-scenario spec. The mini-grammar is
-///
-///   spec   := name [ ':' params ]
-///   params := key '=' value ( ',' key '=' value )*
-///
-/// e.g. `burst:n=200000,dup=0.3` or plain `paper-mixed`. Every generator
-/// reads its parameters through the typed getters, which record the keys
-/// they consumed; the registry then rejects specs containing keys no getter
-/// asked for, so typos fail loudly instead of silently running defaults.
-class ScenarioSpec {
- public:
-  /// Parses `text`; aborts on a malformed spec (empty name, bad key=value
-  /// list). The reserved key `seed` is consumed here and overrides whatever
-  /// `set_seed` installs.
-  static ScenarioSpec Parse(const std::string& text);
-
-  const std::string& name() const { return name_; }
-  /// The original spec string, for provenance in BENCH output.
-  const std::string& text() const { return text_; }
-
-  /// The workload seed: the spec's `seed=` parameter when present, else the
-  /// value installed by `set_seed` (driver --seed), else 1.
-  uint64_t seed() const { return seed_; }
-  void set_seed(uint64_t seed) {
-    if (!seed_from_spec_) seed_ = seed;
-  }
-
-  /// Typed parameter access; returns `def` when the key is absent. The last
-  /// occurrence wins when a key repeats.
-  int64_t GetInt(const std::string& key, int64_t def) const;
-  double GetDouble(const std::string& key, double def) const;
-
-  /// Aborts when the spec carries a key no getter consumed.
-  void CheckAllKeysConsumed() const;
-
- private:
-  const std::string* FindRaw(const std::string& key) const;
-
-  std::string name_;
-  std::string text_;
-  uint64_t seed_ = 1;
-  bool seed_from_spec_ = false;
-  std::vector<std::pair<std::string, std::string>> params_;
-  mutable std::set<std::string> consumed_;
-};
-
-/// A named, seeded workload generator. Implementations must be
-/// deterministic: the same spec (including seed) yields an identical
-/// Workload, operation for operation.
+/// A named, seeded workload generator, selected by a Spec such as
+/// `burst:n=200000,dup=0.3` or plain `paper-mixed`. Implementations must be
+/// deterministic: the same spec and seed yield an identical Workload,
+/// operation for operation.
 class Scenario {
  public:
   virtual ~Scenario() = default;
@@ -68,10 +22,13 @@ class Scenario {
   /// Registry key, e.g. "sliding-window".
   virtual std::string name() const = 0;
 
-  /// One-line description plus the accepted keys, for --list-scenarios.
+  /// One-line description plus the accepted keys, for `ddc_driver --list`.
   virtual std::string help() const = 0;
 
-  virtual Workload Generate(const ScenarioSpec& spec) const = 0;
+  /// Reads its keys through the spec's getters, which record what they
+  /// read and refuse; BuildScenarioWorkload refuses the spec afterwards if
+  /// a value was refused or a key went unread.
+  virtual Workload Generate(const Spec& spec, uint64_t seed) const = 0;
 };
 
 /// All built-in scenarios, in registry order.
@@ -80,9 +37,10 @@ const std::vector<std::unique_ptr<Scenario>>& AllScenarios();
 /// Lookup by name; nullptr when unknown.
 const Scenario* FindScenario(const std::string& name);
 
-/// One-stop shop: parse `spec_text`, look up the scenario (abort when
-/// unknown), install `default_seed` (spec `seed=` wins), generate, and abort
-/// on unconsumed keys.
+/// One-stop shop: parses `spec_text`, looks up the scenario, reads the seed
+/// (a spec's `seed=` key, a non-negative integer, beats `default_seed`) and
+/// generates. Aborts, naming the problem, on a malformed spec, an unknown
+/// scenario, a malformed or non-finite value, or a key no generator read.
 Workload BuildScenarioWorkload(const std::string& spec_text,
                                uint64_t default_seed);
 

@@ -129,7 +129,7 @@ struct CommonKeys {
   int query_max;
 };
 
-CommonKeys ReadCommonKeys(const ScenarioSpec& spec, int64_t default_n,
+CommonKeys ReadCommonKeys(const Spec& spec, int64_t default_n,
                           int default_dim, int64_t default_qevery) {
   CommonKeys keys;
   keys.n = spec.GetInt("n", default_n);
@@ -161,7 +161,7 @@ class PaperMixedScenario : public Scenario {
            " qmin=2, qmax=100, extent=100000, seed";
   }
 
-  Workload Generate(const ScenarioSpec& spec) const override {
+  Workload Generate(const Spec& spec, uint64_t seed) const override {
     WorkloadConfig config;
     config.num_updates = spec.GetInt("n", 100000);
     config.insert_fraction = spec.GetDouble("ins", 5.0 / 6.0);
@@ -170,7 +170,7 @@ class PaperMixedScenario : public Scenario {
     config.query_max = static_cast<int>(spec.GetInt("qmax", 100));
     config.spreader.dim = static_cast<int>(spec.GetInt("dim", 3));
     config.spreader.extent = spec.GetDouble("extent", 100000.0);
-    config.seed = spec.seed();
+    config.seed = seed;
     return BuildWorkload(config);
   }
 };
@@ -188,13 +188,13 @@ class SlidingWindowScenario : public Scenario {
            " qevery=1000, qmin, qmax, extent=20000, seed";
   }
 
-  Workload Generate(const ScenarioSpec& spec) const override {
+  Workload Generate(const Spec& spec, uint64_t seed) const override {
     const CommonKeys keys = ReadCommonKeys(spec, 100000, 3, 1000);
     const int64_t window =
         std::max<int64_t>(1, spec.GetInt("window", keys.n / 4));
     const double extent = spec.GetDouble("extent", 20000.0);
 
-    Rng rng(spec.seed());
+    Rng rng(seed);
     // Once the window is full every further step costs two updates
     // (insert + expiry), so k inserts produce 2k - window updates.
     const int64_t inserts =
@@ -232,7 +232,7 @@ class BurstScenario : public Scenario {
            " dim=3, qevery=1000, qmin, qmax, extent=20000, seed";
   }
 
-  Workload Generate(const ScenarioSpec& spec) const override {
+  Workload Generate(const Spec& spec, uint64_t seed) const override {
     const CommonKeys keys = ReadCommonKeys(spec, 100000, 3, 1000);
     const int64_t burst = std::max<int64_t>(1, spec.GetInt("burst", 1000));
     const double dup = spec.GetDouble("dup", 0.3);
@@ -243,7 +243,7 @@ class BurstScenario : public Scenario {
     const double extent = spec.GetDouble("extent", 20000.0);
     DDC_CHECK(dup >= 0 && dup < 1);
 
-    Rng rng(spec.seed());
+    Rng rng(seed);
     std::vector<Point> centers;
     for (int c = 0; c < clusters; ++c) {
       centers.push_back(UniformPoint(rng, keys.dim, extent));
@@ -282,7 +282,7 @@ class ZipfScenario : public Scenario {
            " noise=0.02, dim=3, qevery=1000, qmin, qmax, extent=50000, seed";
   }
 
-  Workload Generate(const ScenarioSpec& spec) const override {
+  Workload Generate(const Spec& spec, uint64_t seed) const override {
     const CommonKeys keys = ReadCommonKeys(spec, 100000, 3, 1000);
     const int clusters =
         static_cast<int>(std::max<int64_t>(1, spec.GetInt("clusters", 50)));
@@ -293,7 +293,7 @@ class ZipfScenario : public Scenario {
     const double extent = spec.GetDouble("extent", 50000.0);
     DDC_CHECK(ins > 0 && ins <= 1);
 
-    Rng rng(spec.seed());
+    Rng rng(seed);
     std::vector<Point> centers;
     for (int c = 0; c < clusters; ++c) {
       centers.push_back(UniformPoint(rng, keys.dim, extent));
@@ -345,7 +345,7 @@ class DriftScenario : public Scenario {
            " extent=20000, seed";
   }
 
-  Workload Generate(const ScenarioSpec& spec) const override {
+  Workload Generate(const Spec& spec, uint64_t seed) const override {
     const CommonKeys keys = ReadCommonKeys(spec, 100000, 3, 1000);
     const int clusters =
         static_cast<int>(std::max<int64_t>(1, spec.GetInt("clusters", 10)));
@@ -355,7 +355,7 @@ class DriftScenario : public Scenario {
     const double radius = spec.GetDouble("radius", 100.0);
     const double extent = spec.GetDouble("extent", 20000.0);
 
-    Rng rng(spec.seed());
+    Rng rng(seed);
     std::vector<Point> centers;
     std::vector<Point> velocity(clusters);
     for (int c = 0; c < clusters; ++c) {
@@ -411,7 +411,7 @@ class HotspotScenario : public Scenario {
            " extent=50000, seed";
   }
 
-  Workload Generate(const ScenarioSpec& spec) const override {
+  Workload Generate(const Spec& spec, uint64_t seed) const override {
     const CommonKeys keys = ReadCommonKeys(spec, 100000, 3, 1000);
     const double hot = spec.GetDouble("hot", 0.85);
     const double band = spec.GetDouble("band", 0.08);
@@ -427,7 +427,7 @@ class HotspotScenario : public Scenario {
     DDC_CHECK(band > 0 && band <= 1);
     DDC_CHECK(ins > 0 && ins <= 1);
 
-    Rng rng(spec.seed());
+    Rng rng(seed);
     const double band_hi = band * extent;
     // Hot blob centers squeeze into the band along dim 0 (full extent on the
     // other dimensions); cold centers go anywhere outside it.
@@ -490,7 +490,7 @@ class HotspotMigrateScenario : public Scenario {
            " extent=50000, seed";
   }
 
-  Workload Generate(const ScenarioSpec& spec) const override {
+  Workload Generate(const Spec& spec, uint64_t seed) const override {
     const CommonKeys keys = ReadCommonKeys(spec, 100000, 3, 1000);
     const int64_t period =
         std::max<int64_t>(1, spec.GetInt("period", keys.n / 6));
@@ -508,7 +508,7 @@ class HotspotMigrateScenario : public Scenario {
     DDC_CHECK(band > 0 && band <= 1);
     DDC_CHECK(ins > 0 && ins <= 1);
 
-    Rng rng(spec.seed());
+    Rng rng(seed);
     const double band_w = band * extent;
     // Cold blobs are fixed for the whole run: a sparse background the band
     // wanders across.
@@ -578,7 +578,7 @@ class QueryStormScenario : public Scenario {
            " extent=20000, seed";
   }
 
-  Workload Generate(const ScenarioSpec& spec) const override {
+  Workload Generate(const Spec& spec, uint64_t seed) const override {
     CommonKeys keys;
     keys.n = spec.GetInt("n", 40000);
     keys.dim = static_cast<int>(spec.GetInt("dim", 3));
@@ -595,7 +595,7 @@ class QueryStormScenario : public Scenario {
     const double extent = spec.GetDouble("extent", 20000.0);
     DDC_CHECK(ins > 0 && ins <= 1);
 
-    Rng rng(spec.seed());
+    Rng rng(seed);
     std::vector<Point> centers;
     for (int c = 0; c < clusters; ++c) {
       centers.push_back(UniformPoint(rng, keys.dim, extent));
@@ -635,7 +635,7 @@ class SplitMergeScenario : public Scenario {
            " qmax, seed";
   }
 
-  Workload Generate(const ScenarioSpec& spec) const override {
+  Workload Generate(const Spec& spec, uint64_t seed) const override {
     const CommonKeys keys = ReadCommonKeys(spec, 10000, 2, 100);
     const double eps = spec.GetDouble("eps", 200.0);
     const int bridge =
@@ -644,7 +644,7 @@ class SplitMergeScenario : public Scenario {
         static_cast<int>(std::max<int64_t>(1, spec.GetInt("blob", 60)));
     DDC_CHECK(eps > 0);
 
-    Rng rng(spec.seed());
+    Rng rng(seed);
     // Bridge hops of 0.75 eps chain the two blobs into one cluster whenever
     // the bridge is present; without it the blob gap is far beyond eps.
     const double gap = 0.75 * eps;

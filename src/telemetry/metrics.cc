@@ -189,9 +189,20 @@ std::vector<MetricSample> DeltaSince(const std::vector<MetricSample>& before,
              ++i) {
           d.hist.buckets[i] -= b.buckets[i];
         }
-        // min/max stay cumulative (after's values); the stripes keep no
-        // per-interval extrema. An empty interval reports all zeros.
-        if (d.hist.count == 0) d.hist = HistogramData{};
+        if (d.hist.count == 0) {
+          d.hist = HistogramData{};  // An empty interval reports all zeros.
+        } else if (b.count > 0) {
+          // An extreme that moved was recorded in the interval, so it is
+          // exact. Otherwise bound it by the interval's last (max) or first
+          // (min) non-empty bucket, capped like a quantile: within one
+          // bucket of the interval's own extreme.
+          if (d.hist.max_ns <= b.max_ns) {
+            d.hist.max_ns = std::llround(d.hist.Quantile(1) * 1000.0);
+          }
+          if (d.hist.min_ns >= b.min_ns) {
+            d.hist.min_ns = std::llround(d.hist.Quantile(0) * 1000.0);
+          }
+        }
       }
     }
     out.push_back(std::move(d));

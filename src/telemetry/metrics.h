@@ -214,8 +214,12 @@ class MetricsRegistry {
 /// `after` value unchanged (a gauge is point-in-time, not a rate).
 /// Histograms subtract like counters — count/sum/buckets become the
 /// interval's own distribution, so quantiles of a delta describe just that
-/// window — except min/max, which stay cumulative (`after`'s values): the
-/// stripes keep no per-interval extrema.
+/// window. The stripes keep no per-interval extrema, so min/max are the
+/// interval's own to within one bucket: an extreme that moved since
+/// `before` is exact (it was recorded in the interval); one that did not
+/// reads as the upper edge of the interval's first (min) or last (max)
+/// non-empty bucket, capped at the maximum like a quantile. The sampler's
+/// per-tick extremes come from here too.
 std::vector<MetricSample> DeltaSince(const std::vector<MetricSample>& before,
                                      const std::vector<MetricSample>& after);
 

@@ -153,48 +153,130 @@ TEST(FlagsDeathTest, NegativeNumberAsSpaceSeparatedValueAborts) {
   EXPECT_EQ(f.GetInt("n", 0), -5);
 }
 
-TEST(ParseKeyValueListTest, EmptyStringYieldsEmptyList) {
-  EXPECT_TRUE(ParseKeyValueList("").empty());
+/// Parses `text`, failing the test when Spec::Parse refuses it.
+Spec MustParse(const std::string& text) {
+  Spec spec;
+  std::string why;
+  EXPECT_TRUE(Spec::Parse(text, &spec, &why)) << text << ": " << why;
+  return spec;
 }
 
-TEST(ParseKeyValueListTest, SingleAndMultipleEntries) {
-  const auto one = ParseKeyValueList("n=200000");
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_EQ(one[0].first, "n");
-  EXPECT_EQ(one[0].second, "200000");
-
-  const auto many = ParseKeyValueList("n=200000,dup=0.3,name=burst");
-  ASSERT_EQ(many.size(), 3u);
-  EXPECT_EQ(many[1].first, "dup");
-  EXPECT_EQ(many[1].second, "0.3");
-  EXPECT_EQ(many[2].second, "burst");
+/// Why Spec::Parse refuses `text`; empty when it accepts it.
+std::string ParseError(const std::string& text) {
+  Spec spec;
+  std::string why;
+  return Spec::Parse(text, &spec, &why) ? "" : why;
 }
 
-TEST(ParseKeyValueListTest, EmptyValueAndDocumentOrderKept) {
-  const auto entries = ParseKeyValueList("b=,a=1,b=2");
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0].first, "b");
-  EXPECT_EQ(entries[0].second, "");  // Empty value is legal.
-  EXPECT_EQ(entries[1].first, "a");
-  EXPECT_EQ(entries[2].second, "2");  // Duplicates preserved, not merged.
+/// What Problem reports; empty when it reports nothing.
+std::string ProblemOf(const Spec& spec) {
+  std::string why;
+  return spec.Problem(&why) ? why : "";
 }
 
-TEST(ParseKeyValueListTest, ValueMayContainEquals) {
+TEST(SpecTest, NameAloneOrWithAColonHasNoKeys) {
+  for (const char* text : {"burst", "burst:"}) {
+    const Spec spec = MustParse(text);
+    EXPECT_EQ(spec.name(), "burst");
+    EXPECT_EQ(spec.text(), text);
+    EXPECT_EQ(spec.GetInt("n", 123), 123);
+    EXPECT_EQ(ProblemOf(spec), "");
+  }
+}
+
+TEST(SpecTest, TypedParameterAccess) {
+  const Spec spec = MustParse("burst:n=200000,dup=0.3");
+  EXPECT_EQ(spec.name(), "burst");
+  EXPECT_EQ(spec.text(), "burst:n=200000,dup=0.3");
+  EXPECT_EQ(spec.GetInt("n", 0), 200000);
+  EXPECT_DOUBLE_EQ(spec.GetDouble("dup", 0), 0.3);
+  EXPECT_DOUBLE_EQ(spec.GetDouble("absent", 2.5), 2.5);
+  EXPECT_EQ(ProblemOf(spec), "");
+}
+
+TEST(SpecTest, SingleAndMultipleEntries) {
+  EXPECT_EQ(MustParse("s:n=200000").GetInt("n", 0), 200000);
+
+  const Spec many = MustParse("s:n=200000,dup=0.3,name=burst");
+  EXPECT_EQ(many.GetInt("n", 0), 200000);
+  EXPECT_DOUBLE_EQ(many.GetDouble("dup", 0), 0.3);
+  EXPECT_EQ(ProblemOf(many), "unknown key 'name'");
+  EXPECT_EQ(many.GetInt("name", 7), 7);  // Refused, so it reads the default.
+  EXPECT_EQ(ProblemOf(many), "key name=burst is not an integer");
+}
+
+TEST(SpecTest, EmptyValueDocumentOrderAndLastOccurrence) {
+  const Spec spec = MustParse("s:b=,a=1,b=2");
+  EXPECT_EQ(ProblemOf(spec), "unknown key 'b'");  // First in document order.
+  EXPECT_EQ(spec.GetInt("b", 0), 2);  // Duplicates kept; the last one wins.
+  EXPECT_EQ(ProblemOf(spec), "unknown key 'a'");
+  EXPECT_EQ(spec.GetInt("a", 0), 1);
+  EXPECT_EQ(ProblemOf(spec), "");
+
+  const Spec empty = MustParse("s:b=");  // An empty value parses...
+  EXPECT_EQ(empty.GetInt("b", 5), 5);    // ...but is not a number.
+  EXPECT_EQ(ProblemOf(empty), "key b= is not an integer");
+}
+
+TEST(SpecTest, ValueMayContainEquals) {
   // Only the first '=' splits, so values like base64 payloads survive.
-  const auto entries = ParseKeyValueList("expr=a=b");
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].first, "expr");
-  EXPECT_EQ(entries[0].second, "a=b");
+  const Spec spec = MustParse("s:expr=a=b");
+  spec.GetDouble("expr", 0);
+  EXPECT_EQ(ProblemOf(spec), "key expr=a=b is not a finite number");
 }
 
-TEST(ParseKeyValueListDeathTest, MalformedSpecsAbort) {
-  EXPECT_DEATH(ParseKeyValueList("novalue"), "missing '='");
-  EXPECT_DEATH(ParseKeyValueList("n=1,novalue"), "missing '='");
-  EXPECT_DEATH(ParseKeyValueList("=5"), "empty key");
-  EXPECT_DEATH(ParseKeyValueList(","), "empty item");
-  EXPECT_DEATH(ParseKeyValueList("n=1,"), "empty item");
-  EXPECT_DEATH(ParseKeyValueList(",n=1"), "empty item");
-  EXPECT_DEATH(ParseKeyValueList("n=1,,m=2"), "empty item");
+TEST(SpecTest, MalformedSpecsAreRefusedNamingTheItem) {
+  EXPECT_EQ(ParseError(""), "empty name");
+  EXPECT_EQ(ParseError(":n=1"), "empty name");
+  EXPECT_EQ(ParseError("s:novalue"),
+            "malformed item 'novalue' (missing '=', expected key=value)");
+  EXPECT_NE(ParseError("s:n=1,novalue").find("missing '='"),
+            std::string::npos);
+  EXPECT_NE(ParseError("burst:n").find("missing '='"), std::string::npos);
+  EXPECT_EQ(ParseError("s:=5"), "malformed item '=5' (empty key)");
+  EXPECT_EQ(ParseError("s:,"), "malformed item '' (empty item)");
+  EXPECT_NE(ParseError("s:n=1,").find("empty item"), std::string::npos);
+  EXPECT_NE(ParseError("s:,n=1").find("empty item"), std::string::npos);
+  EXPECT_NE(ParseError("s:n=1,,m=2").find("empty item"), std::string::npos);
+}
+
+// A spec value follows the flags' number rules: it parses whole, an integer
+// fits int64_t and lies in the getter's range, and a double is finite. A
+// refused value reads as the default and is the first thing Problem names,
+// ahead of any unread key.
+TEST(SpecTest, NumbersFollowTheFlagRules) {
+  const Spec spec =
+      MustParse("s:typo=1,neg=-12,plus=+7,small=1e-3,n=2k,dup=inf");
+  EXPECT_EQ(spec.GetInt("neg", 0), -12);
+  EXPECT_EQ(spec.GetInt("plus", 0), 7);
+  EXPECT_DOUBLE_EQ(spec.GetDouble("small", 0), 0.001);
+  EXPECT_EQ(ProblemOf(spec), "unknown key 'typo'");
+  EXPECT_EQ(spec.GetInt("n", 42), 42);
+  EXPECT_DOUBLE_EQ(spec.GetDouble("dup", 1.5), 1.5);
+  EXPECT_EQ(ProblemOf(spec), "key n=2k is not an integer");
+
+  const auto refusal = [](const std::string& item, bool as_int) {
+    const Spec one = MustParse("s:" + item);
+    const std::string key = item.substr(0, item.find('='));
+    if (as_int) {
+      one.GetInt(key, 0, 0, 64);
+    } else {
+      one.GetDouble(key, 0);
+    }
+    return ProblemOf(one);
+  };
+  EXPECT_EQ(refusal("m=12abc", true), "key m=12abc is not an integer");
+  EXPECT_EQ(refusal("big=99999999999999999999", true),
+            "key big=99999999999999999999 is not an integer");
+  EXPECT_EQ(refusal("x=2.5km", false), "key x=2.5km is not a finite number");
+  EXPECT_EQ(refusal("inf=inf", false), "key inf=inf is not a finite number");
+  EXPECT_EQ(refusal("nan=nan", false), "key nan=nan is not a finite number");
+  EXPECT_EQ(refusal("huge=1e999", false),
+            "key huge=1e999 is not a finite number");
+  EXPECT_EQ(refusal("shards=65", true),
+            "key shards=65 is out of range [0, 64]");
+  EXPECT_EQ(refusal("seed=-1", true), "key seed=-1 is out of range [0, 64]");
+  EXPECT_EQ(refusal("ok=64", true), "");
 }
 
 TEST(ParamsTest, ValidateAcceptsPaperDefaults) {

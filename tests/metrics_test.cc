@@ -207,15 +207,44 @@ TEST(MetricsTest, DeltaSinceSubtractsHistograms) {
     if (s.name == "test.metrics.hist_delta") sample = &s;
   }
   ASSERT_NE(sample, nullptr);
-  // The interval saw exactly one 40µs record; min/max stay cumulative.
+  // The interval saw exactly one 40µs record, so its min and max are 40:
+  // the max moved, and the min is capped at it.
   EXPECT_EQ(sample->hist.count, 1);
   EXPECT_EQ(sample->value, 1);
   EXPECT_DOUBLE_EQ(sample->hist.sum_us(), 40.0);
-  EXPECT_DOUBLE_EQ(sample->hist.min_us(), 10.0);
+  EXPECT_DOUBLE_EQ(sample->hist.min_us(), 40.0);
   EXPECT_DOUBLE_EQ(sample->hist.max_us(), 40.0);
   int64_t bucket_total = 0;
   for (const int64_t b : sample->hist.buckets) bucket_total += b;
   EXPECT_EQ(bucket_total, 1);
+}
+
+// When neither cumulative extreme moves, a delta's min and max come from
+// its own buckets: within one bucket (2^(1/8)) of the interval's 100µs,
+// not the 1µs and 1000µs recorded before it.
+TEST(MetricsTest, DeltaSinceReportsTheIntervalsOwnExtremes) {
+  Metric& hist = MetricsRegistry::Instance().GetOrCreate(
+      "test.metrics.hist_delta_extremes", MetricKind::kHistogram);
+  hist.Record(1.0);
+  hist.Record(1000.0);
+  const std::vector<MetricSample> before =
+      MetricsRegistry::Instance().Snapshot();
+  hist.Record(100.0);
+  const std::vector<MetricSample> delta =
+      DeltaSince(before, MetricsRegistry::Instance().Snapshot());
+
+  const MetricSample* sample = nullptr;
+  for (const MetricSample& s : delta) {
+    if (s.name == "test.metrics.hist_delta_extremes") sample = &s;
+  }
+  ASSERT_NE(sample, nullptr);
+  EXPECT_EQ(sample->hist.count, 1);
+  const double bucket = std::exp2(1.0 / 8);
+  EXPECT_GE(sample->hist.min_us(), 100.0);
+  EXPECT_LT(sample->hist.min_us(), 100.0 * bucket);
+  EXPECT_GE(sample->hist.max_us(), 100.0);
+  EXPECT_LT(sample->hist.max_us(), 100.0 * bucket);
+  EXPECT_LE(sample->hist.min_us(), sample->hist.max_us());
 }
 
 TEST(MetricsDeathTest, HistogramKindMismatchAborts) {

@@ -80,55 +80,33 @@ bool SameWorkload(const Workload& a, const Workload& b) {
   return true;
 }
 
-TEST(ScenarioSpecTest, NameOnly) {
-  const ScenarioSpec spec = ScenarioSpec::Parse("burst");
-  EXPECT_EQ(spec.name(), "burst");
-  EXPECT_EQ(spec.GetInt("n", 123), 123);
-  spec.CheckAllKeysConsumed();  // Nothing to consume.
-
-  // A trailing colon means "no knobs", as in the method grammar.
-  const ScenarioSpec colon = ScenarioSpec::Parse("burst:");
-  EXPECT_EQ(colon.name(), "burst");
-  EXPECT_EQ(colon.GetInt("n", 123), 123);
-  colon.CheckAllKeysConsumed();
+// A spec the scenario path refuses aborts naming the spec and the problem:
+// the grammar and number rules are Spec's (flags_test covers them), and a
+// spec seed must be a non-negative integer.
+TEST(BuildScenarioDeathTest, MalformedSpecsAbort) {
+  EXPECT_DEATH(BuildScenarioWorkload("", 1),
+               "bad scenario spec '': empty name");
+  EXPECT_DEATH(BuildScenarioWorkload(":n=1", 1), "empty name");
+  EXPECT_DEATH(BuildScenarioWorkload("burst:n", 1), "missing '='");
+  EXPECT_DEATH(BuildScenarioWorkload("burst:n=1,", 1), "empty item");
+  EXPECT_DEATH(BuildScenarioWorkload("burst:n=200,seed=abc", 1),
+               "key seed=abc is not an integer");
+  EXPECT_DEATH(BuildScenarioWorkload("burst:n=200,seed=7x", 1),
+               "key seed=7x is not an integer");
+  EXPECT_DEATH(BuildScenarioWorkload("burst:n=200,seed=-1", 1),
+               "key seed=-1 is out of range");
+  EXPECT_DEATH(BuildScenarioWorkload("burst:n=abc", 1),
+               "key n=abc is not an integer");
 }
 
-TEST(ScenarioSpecTest, TypedParameterAccess) {
-  const ScenarioSpec spec = ScenarioSpec::Parse("burst:n=200000,dup=0.3");
-  EXPECT_EQ(spec.name(), "burst");
-  EXPECT_EQ(spec.text(), "burst:n=200000,dup=0.3");
-  EXPECT_EQ(spec.GetInt("n", 0), 200000);
-  EXPECT_DOUBLE_EQ(spec.GetDouble("dup", 0), 0.3);
-  EXPECT_DOUBLE_EQ(spec.GetDouble("absent", 2.5), 2.5);
-  spec.CheckAllKeysConsumed();
-}
-
-TEST(ScenarioSpecTest, LastOccurrenceWins) {
-  const ScenarioSpec spec = ScenarioSpec::Parse("burst:n=1,n=2");
-  EXPECT_EQ(spec.GetInt("n", 0), 2);
-}
-
-TEST(ScenarioSpecTest, SeedParameterBeatsInstalledDefault) {
-  ScenarioSpec with = ScenarioSpec::Parse("burst:seed=99");
-  with.set_seed(5);
-  EXPECT_EQ(with.seed(), 99u);
-  with.CheckAllKeysConsumed();  // `seed` counts as consumed.
-
-  ScenarioSpec without = ScenarioSpec::Parse("burst");
-  without.set_seed(5);
-  EXPECT_EQ(without.seed(), 5u);
-}
-
-TEST(ScenarioSpecDeathTest, MalformedSpecsAbort) {
-  EXPECT_DEATH(ScenarioSpec::Parse(""), "DDC_CHECK failed");
-  EXPECT_DEATH(ScenarioSpec::Parse(":n=1"), "DDC_CHECK failed");
-  EXPECT_DEATH(ScenarioSpec::Parse("burst:n"), "missing '='");
-  EXPECT_DEATH(ScenarioSpec::Parse("burst:n=1,"), "empty item");
-  EXPECT_DEATH(ScenarioSpec::Parse("burst:seed=abc"), "unsigned integer");
-  EXPECT_DEATH(ScenarioSpec::Parse("burst:seed=7x"), "unsigned integer");
-  EXPECT_DEATH(ScenarioSpec::Parse("burst:seed=-1"), "unsigned integer");
-  const ScenarioSpec bad = ScenarioSpec::Parse("burst:n=abc");
-  EXPECT_DEATH(bad.GetInt("n", 0), "not an integer");
+// A non-finite coordinate scale reached the grid's cell keys as
+// static_cast<int32_t>(floor(inf)), which is undefined behaviour.
+TEST(BuildScenarioDeathTest, NonFiniteValuesAbortNamingTheKey) {
+  EXPECT_DEATH(BuildScenarioWorkload("burst:n=200,extent=inf", 1),
+               "bad scenario spec 'burst:n=200,extent=inf': key extent=inf"
+               " is not a finite number");
+  EXPECT_DEATH(BuildScenarioWorkload("burst:n=200,radius=nan", 1),
+               "key radius=nan is not a finite number");
 }
 
 TEST(ScenarioRegistryTest, LookupAndHelp) {
@@ -147,7 +125,10 @@ TEST(ScenarioRegistryTest, RegistryIsFullyCovered) {
   // test fails until the spec list is extended).
   std::set<std::string> covered;
   for (const char* spec : kTinySpecs) {
-    covered.insert(ScenarioSpec::Parse(spec).name());
+    Spec parsed;
+    std::string why;
+    ASSERT_TRUE(Spec::Parse(spec, &parsed, &why)) << why;
+    covered.insert(parsed.name());
   }
   for (const auto& s : AllScenarios()) {
     EXPECT_TRUE(covered.count(s->name())) << "no tiny spec for " << s->name();
@@ -160,7 +141,7 @@ TEST(ScenarioRegistryDeathTest, UnknownScenarioAndUnknownKeyAbort) {
                "unknown scenario");
   // Typos in parameter names must fail loudly, not silently run defaults.
   EXPECT_DEATH(BuildScenarioWorkload("burst:n=100,windw=5", 1),
-               "unknown .*parameter");
+               "bad scenario spec 'burst:n=100,windw=5': unknown key 'windw'");
 }
 
 TEST(ScenarioWorkloadsTest, EveryScenarioProducesAValidWorkload) {
@@ -179,6 +160,11 @@ TEST(ScenarioWorkloadsTest, SpecSeedWinsAndIsRecorded) {
   EXPECT_EQ(w.seed, 99u);
   const Workload same = BuildScenarioWorkload("burst:n=200", 99);
   EXPECT_TRUE(SameWorkload(w, same)) << "seed=99 must equal --seed 99";
+  EXPECT_EQ(BuildScenarioWorkload("burst:n=200", 5).seed, 5u);
+}
+
+TEST(ScenarioWorkloadsTest, LastOccurrenceWins) {
+  EXPECT_EQ(BuildScenarioWorkload("burst:n=100,n=200", 1).num_updates, 200);
 }
 
 TEST(ScenarioWorkloadsTest, DeterministicGivenSeed) {

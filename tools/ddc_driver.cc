@@ -11,7 +11,9 @@
 //   ddc_driver --list                         # print the scenario library
 //
 // Flags (a flag the chosen mode does not read aborts the run, naming it):
-//   --scenario    ';'-separated scenario specs (grammar: name[:k=v,k=v...]).
+//   --scenario    ';'-separated scenario specs (grammar: name[:k=v,k=v...],
+//                 read by ddc::Spec). A malformed or non-finite value, or a
+//                 key the scenario does not read, aborts naming it.
 //                 Default: every registered scenario with default parameters.
 //   --methods     ';'- or ','-separated method specs from
 //                 core/method_registry.h (same grammar as scenarios, e.g.
@@ -25,7 +27,8 @@
 //                 publishes a snapshot at each query op and N readers hammer
 //                 the latest one; BENCH records reader count, query total
 //                 and aggregate reader throughput (run.reader_*).
-//   --eps         Absolute epsilon. Default: --eps-over-d (100) * dim.
+//   --eps-over-d  Epsilon per dimension: eps = eps-over-d * dim (default
+//                 100, the paper's).
 //   --minpts      MinPts (default 10).
 //   --rho         Approximation slack (default 0.001; exact methods force 0).
 //   --budget      Per-run time budget in seconds (default 30; <= 0 unlimited).
@@ -246,10 +249,6 @@ std::vector<std::string> Split(const std::string& text, char sep) {
   return parts;
 }
 
-std::string SpecName(const std::string& spec) {
-  return spec.substr(0, spec.find(':'));
-}
-
 // Method lists split on ';' (the outer separator once specs carry ,-joined
 // knobs); a ';'-piece without knobs still splits on ',' so the historical
 // --methods=double-approx,inc-dbscan form keeps working.
@@ -326,9 +325,7 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.GetInt("stats-interval-ms", 250));
   const std::string stats_ring_out = flags.GetString("stats-ring-out", "");
 
-  // Clustering parameters; eps defaults per scenario, from its dimension.
-  const bool has_eps = flags.Has("eps");
-  const double eps = flags.GetDouble("eps", 0);
+  // Clustering parameters; eps follows each scenario's dimension.
   const double eps_over_d = flags.GetDouble("eps-over-d", 100.0);
   const int min_pts = static_cast<int>(flags.GetInt("minpts", 10));
   const double rho = flags.GetDouble("rho", 0.001);
@@ -370,11 +367,14 @@ int main(int argc, char** argv) {
   for (const std::string& spec : specs) {
     if (g_stop != 0) break;
     const ddc::Workload workload = ddc::BuildScenarioWorkload(spec, seed);
-    const std::string scenario = SpecName(spec);
+    ddc::Spec parsed;
+    std::string parse_error;  // None: the spec just built a workload.
+    DDC_CHECK(ddc::Spec::Parse(spec, &parsed, &parse_error));
+    const std::string& scenario = parsed.name();
 
     ddc::DbscanParams params;
     params.dim = workload.dim;
-    params.eps = has_eps ? eps : eps_over_d * workload.dim;
+    params.eps = eps_over_d * workload.dim;
     params.min_pts = min_pts;
     params.rho = rho;
     params.Validate();
